@@ -108,13 +108,8 @@ def _cmd_list(args) -> int:
         print(f"  {key:12s} {m.describe()}")
     print("\nschedulers (policy registry):")
     for info in iter_policy_infos():
-        tags = []
-        if info.fast:
-            tags.append("fast-engine")
-        if info.invariant_groups:
-            tags.append("invariants: " + ",".join(sorted(
-                info.invariant_groups)))
-        suffix = f" [{'; '.join(tags)}]" if tags else ""
+        suffix = (f" [invariants: {','.join(sorted(info.invariant_groups))}]"
+                  if info.invariant_groups else "")
         print(f"  {info.name:12s} {info.description}{suffix}")
     print("\nworkloads:")
     for name in workload_names():
@@ -136,7 +131,7 @@ def _cmd_run(args) -> int:
                          args.governor, seed=args.seed,
                          record_trace=bool(trace_path),
                          collect_events=wants_obs,
-                         faults=faults, engine=args.engine)
+                         faults=faults)
     print(res.brief())
     print(f"  wall={res.sim_wall_s:.3f}s  events={res.events_processed:,}  "
           f"({res.events_per_sec:,.0f} events/s)")
@@ -295,14 +290,13 @@ def _analysis_events(args):
     res = run_experiment(make_workload(spec.workload, scale=spec.scale),
                          machine, spec.scheduler, spec.governor,
                          seed=spec.seed, record_trace=True,
-                         collect_events=True,
-                         engine=getattr(args, "engine", "ref"))
+                         collect_events=True)
     return res, res.events, res.trace_segments, machine.n_cpus
 
 
 def _cmd_obs_analyze(args) -> int:
     """Replay a run's event log through the analyzers; print/save the
-    report (deterministic: byte-identical across engines and repeats)."""
+    report (deterministic: byte-identical across repeats)."""
     from ..obs.analysis import (analyze_run, diff_reports,
                                 render_attribution, report_json, report_text)
 
@@ -482,9 +476,9 @@ def _cmd_history_export(args) -> int:
 
     with open(args.record, encoding="utf-8") as fh:
         record = _json.load(fh)
-    if not record.get("parity_ok", True):
-        print("error: benchmark record reports an engine parity failure — "
-              "refusing to export its numbers", file=sys.stderr)
+    if "wall_s" not in record:
+        print(f"error: {args.record} has no wall_s — not a "
+              f"profile_sweep.py --json record", file=sys.stderr)
         return 1
     entries = trajectory_entries(record, pr=args.pr, host=args.host)
     if args.append:
@@ -519,7 +513,7 @@ def _cmd_compare(args) -> int:
                   get_machine(args.machine),
                   combos=_compare_combos(args.scheduler),
                   seeds=tuple(range(1, args.seeds + 1)), executor=executor,
-                  faults=_faults_from_args(args), engine=args.engine)
+                  faults=_faults_from_args(args))
     rows = []
     for (sched, gov), stats in cmp.combos.items():
         rows.append([
@@ -552,8 +546,6 @@ def _cmd_sweep(args) -> int:
     faults = _faults_from_args(args)
     if faults is not None:
         specs = [dataclasses.replace(s, faults=faults) for s in specs]
-    if args.engine != "ref":
-        specs = [dataclasses.replace(s, engine=args.engine) for s in specs]
     executor = _executor_from_args(args)
     results = executor.run(specs)
     for spec, res in zip(specs, results):
@@ -603,7 +595,6 @@ def _cmd_verify(args) -> int:
         config = FuzzConfig(
             runs=args.runs, base_seed=args.seed,
             diff_every=args.diff_every, par_every=args.par_every,
-            dual_every=args.dual_every,
             max_failures=args.max_failures,
             repro_dir=Path(args.repro_dir) if args.repro_dir else None,
             shrink_budget=args.shrink_budget)
@@ -722,13 +713,6 @@ def _add_sweep_options(p: argparse.ArgumentParser) -> None:
                         "aborting the sweep")
 
 
-def _add_engine_option(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--engine", default="ref", choices=["ref", "fast"],
-                   help="simulation backend: 'ref' (reference) or 'fast' "
-                        "(SoA hot paths, bit-identical results; uses numpy "
-                        "when installed)")
-
-
 def _add_faults_option(p: argparse.ArgumentParser) -> None:
     p.add_argument("--faults", default=None, metavar="PROFILE",
                    choices=sorted(FAULT_PROFILES),
@@ -760,7 +744,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--events", default=None, metavar="PATH",
                        help="write the structured event log as JSONL here")
     _add_faults_option(run_p)
-    _add_engine_option(run_p)
     run_p.set_defaults(fn=_cmd_run)
 
     trace_p = sub.add_parser(
@@ -787,7 +770,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--scale", type=float, default=1.0)
     _add_sweep_options(cmp_p)
     _add_faults_option(cmp_p)
-    _add_engine_option(cmp_p)
     cmp_p.set_defaults(fn=_cmd_compare)
 
     sweep_p = sub.add_parser("sweep",
@@ -803,7 +785,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restrict to these machine keys (repeatable)")
     _add_sweep_options(sweep_p)
     _add_faults_option(sweep_p)
-    _add_engine_option(sweep_p)
     sweep_p.set_defaults(fn=_cmd_sweep)
 
     cache_p = sub.add_parser("cache", help="result-cache maintenance")
@@ -859,7 +840,6 @@ def build_parser() -> argparse.ArgumentParser:
         "analyze",
         help="replay a run's event log through the trace analyzers")
     _add_analysis_source(oana_p)
-    _add_engine_option(oana_p)
     oana_p.add_argument("--warm-window-us", type=int, default=1000,
                         help="a dispatch counts as warm when its core "
                              "was active within this window "
@@ -876,7 +856,6 @@ def build_parser() -> argparse.ArgumentParser:
     oq_p = obs_sub.add_parser(
         "query", help="filter a run's event log by kind/cpu/task/time")
     _add_analysis_source(oq_p)
-    _add_engine_option(oq_p)
     oq_p.add_argument("--kind", action="append", metavar="KIND",
                       help="keep these kinds — exact (sched.dispatch) or "
                            "prefix group (place); repeatable")
@@ -954,11 +933,6 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_p.add_argument("--par-every", type=int, default=100, metavar="N",
                         help="serial-vs-parallel check on every Nth "
                              "scenario (0 disables; default: 100)")
-    fuzz_p.add_argument("--dual-every", type=int, default=1, metavar="N",
-                        help="run every Nth scenario through the fast "
-                             "engine too and require bit-identical "
-                             "artifacts (0 disables; default: 1 = every "
-                             "scenario)")
     fuzz_p.add_argument("--max-failures", type=int, default=5,
                         help="stop after this many failures (0 = never; "
                              "default: 5)")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import gc
 import os
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
@@ -53,34 +52,6 @@ STANDARD_COMBOS: Tuple[Tuple[str, str], ...] = (
 def make_policy(name: str, nest_params: Optional[NestParams] = None) -> SelectionPolicy:
     """Instantiate a selection policy by short name (sched/registry.py)."""
     return make_registered_policy(name, nest_params)
-
-
-_numpy_notice_shown = False
-
-
-def resolve_engine(engine: str) -> bool:
-    """Validate an ``--engine`` value; True means the fast backend.
-
-    Selecting ``fast`` without numpy installed is not an error — the fast
-    engine's stdlib arrays work everywhere — but it prints a one-line
-    notice (once per process) so a user expecting vectorised scans knows
-    why they are not getting them.
-    """
-    key = engine.lower()
-    if key in ("ref", "reference"):
-        return False
-    if key != "fast":
-        raise ValueError(f"unknown engine {engine!r} "
-                         f"(expected 'ref' or 'fast')")
-    global _numpy_notice_shown
-    if not _numpy_notice_shown:
-        _numpy_notice_shown = True
-        from ..kernel.soa import numpy_available
-        if not numpy_available():
-            print("engine 'fast': numpy not installed — using stdlib "
-                  "arrays (install the 'fast' extra for vectorised "
-                  "wide-topology scans)", file=sys.stderr)
-    return True
 
 
 def _gc_totals() -> Tuple[int, int]:
@@ -148,7 +119,6 @@ def run_experiment(
     collect_events: bool = False,
     faults: Optional[FaultConfig] = None,
     policy_probe: Optional[Callable[[SelectionPolicy], None]] = None,
-    engine: str = "ref",
     telemetry: Optional[Any] = None,
 ) -> RunResult:
     """Run one simulation to completion and collect its measurements.
@@ -167,12 +137,6 @@ def run_experiment(
     discarded — the verification oracle uses it to snapshot final nest
     membership, which never reaches the serialized result.
 
-    ``engine`` selects the simulation backend: ``"ref"`` (the reference
-    object-graph implementation) or ``"fast"`` (the struct-of-arrays
-    backend in :mod:`repro.sim.fastengine`).  The two are bit-identical —
-    same events, same metrics, same result — which is enforced by the
-    dual-engine fuzz gate; ``ENGINE_VERSION`` covers both.
-
     ``telemetry`` is a per-process
     :class:`~repro.obs.telemetry.hub.WorkerTelemetry` emitter (installed
     by the sweep executor's pool initializer); when present, a
@@ -184,21 +148,13 @@ def run_experiment(
     wall_start = time.perf_counter()
     gc_base = _gc_totals()
     tracing_allocs = _maybe_start_tracemalloc()
-    fast = resolve_engine(engine)
-    if fast:
-        from ..sim.fastengine import FastEngine, FastKernel, make_fast_policy
-        eng = FastEngine(seed)
-        policy = make_fast_policy(scheduler, nest_params)
-    else:
-        eng = Engine(seed)
-        policy = make_policy(scheduler, nest_params)
-    engine = eng
+    engine = Engine(seed)
+    policy = make_policy(scheduler, nest_params)
     events = engine.obs.attach_memory() if collect_events else None
     tracer = Tracer(machine.n_cpus, record_segments=record_trace)
     gov = make_governor(governor)
-    kernel_cls = FastKernel if fast else Kernel
-    kernel = kernel_cls(engine, machine, policy, gov,
-                        config=kernel_config, tracer=tracer)
+    kernel = Kernel(engine, machine, policy, gov,
+                    config=kernel_config, tracer=tracer)
 
     under = UnderloadTracker()
     tracer.add_sink(under.segment_sink)
@@ -331,7 +287,6 @@ def compare(
     kernel_config: Optional[KernelConfig] = None,
     executor: Optional["SweepExecutor"] = None,
     faults: Optional[FaultConfig] = None,
-    engine: str = "ref",
 ) -> Comparison:
     """Run every combo over every seed; the paper's Figure 5-13 procedure.
 
@@ -346,8 +301,7 @@ def compare(
     wl_name: Optional[str] = None
     if executor is not None:
         specs = _sweep_specs(workload_factory, machine, combos, seeds,
-                             nest_params, max_us, kernel_config, faults,
-                             engine=engine)
+                             nest_params, max_us, kernel_config, faults)
         if specs is not None:
             results = executor.run(specs)
             wl_name = specs[0].workload
@@ -366,7 +320,7 @@ def compare(
                 res = run_experiment(wl, machine, scheduler, governor, seed,
                                      nest_params=nest_params, max_us=max_us,
                                      kernel_config=kernel_config,
-                                     faults=faults, engine=engine)
+                                     faults=faults)
             cs.makespans_us.append(res.makespan_us)
             cs.energies_j.append(res.energy_joules)
             cs.underload_per_s.append(res.underload.underload_per_second)
@@ -385,7 +339,6 @@ def _sweep_specs(
     max_us: Optional[int],
     kernel_config: Optional[KernelConfig],
     faults: Optional[FaultConfig] = None,
-    engine: str = "ref",
 ) -> Optional[List["RunSpec"]]:
     """Express a compare() sweep as RunSpecs, or None if it cannot be."""
     from ..hw.machines import machine_key
@@ -402,7 +355,6 @@ def _sweep_specs(
     return [RunSpec(workload=probe.name, machine=mk, scheduler=scheduler,
                     governor=governor, seed=seed, scale=scale,
                     nest_params=nest_params, max_us=max_us,
-                    kernel_config=kernel_config, faults=faults,
-                    engine=engine)
+                    kernel_config=kernel_config, faults=faults)
             for scheduler, governor in combos
             for seed in seeds]

@@ -120,7 +120,7 @@ class Kernel:
         self.governor = governor
 
         n = self.topology.n_cpus
-        self.rqs: List[RunQueue] = [self._make_runqueue(cpu, engine.now)
+        self.rqs: List[RunQueue] = [RunQueue(cpu, engine.now)
                                     for cpu in range(n)]
         self.cpus: List[_CpuState] = [_CpuState() for _ in range(n)]
         self.domains = DomainHierarchy(self.topology)
@@ -140,7 +140,8 @@ class Kernel:
         self._h_wakeup_latency = self.metrics.histogram(
             "wakeup_latency_us",
             (1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 2_000, 5_000))
-        self.freq = self._make_freqmodel(engine, machine, governor)
+        self.freq = FreqModel(engine, self.topology, machine.turbo,
+                              machine.pm, governor)
         self.freq.add_listener(self._on_core_freq_change)
 
         self.tasks: Dict[int, Task] = {}
@@ -172,17 +173,6 @@ class Kernel:
         policy.bind(self)
 
         self._balancer_started = False
-
-    # ---- construction hooks (the fast engine substitutes SoA-backed
-    # variants; see repro.sim.fastengine) --------------------------------
-
-    def _make_runqueue(self, cpu: int, now: int) -> RunQueue:
-        return RunQueue(cpu, now)
-
-    def _make_freqmodel(self, engine: Engine, machine: Machine,
-                        governor: "Any") -> FreqModel:
-        return FreqModel(engine, self.topology, machine.turbo,
-                         machine.pm, governor)
 
     # ------------------------------------------------------------------
     # Public API
@@ -340,10 +330,7 @@ class Kernel:
     # ------------------------------------------------------------------
     # Real-time primary/backup re-execution (fault-tolerant scheduling)
     #
-    # These helpers are shared verbatim with the fast engine: they only
-    # call methods that are themselves mirrored (``_exit_task``,
-    # ``_place_wakeup``, ``_runnable_delta``), so both engines take the
-    # identical event-and-metric path.  See DESIGN.md §10.
+    # See DESIGN.md §10.
     # ------------------------------------------------------------------
 
     def _apply_rt_spec(self, task: Task, rt: RtSpec) -> None:

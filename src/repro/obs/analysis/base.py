@@ -9,9 +9,8 @@ regardless of how many analyzers are registered.
 The determinism contract (DESIGN.md §9): a report is a pure function of
 the event log plus the :class:`AnalysisContext` — no wall-clock reads,
 no host information, no iteration over unordered containers without
-sorting.  Because the two engines emit bit-identical event logs, the
-same report is byte-identical across ``--engine ref`` and ``fast``,
-which the golden files and the parity tests pin.
+sorting.  The same run therefore yields a byte-identical report on
+every repeat, which the golden files pin.
 
 Analyzers are strictly post-hoc: nothing here is imported by the engine
 or kernel hot paths, and event collection itself is the pre-existing

@@ -3,9 +3,8 @@
 :func:`analyze_run` replays a run's event log through the standard
 analyzers and wraps their reports in a run-describing envelope.  The
 envelope deliberately excludes anything non-deterministic (wall time,
-host, engine backend): the serialized report is byte-identical across
-repeat runs and across the ``ref``/``fast`` engines, which is what lets
-the reference reports live as golden files.
+host): the serialized report is byte-identical across repeat runs,
+which is what lets the reference reports live as golden files.
 
 :func:`derived_metrics` is the sweep-side sibling: a pure function of a
 run's *serialized metrics registry* (no event log needed) computing the

@@ -6,8 +6,9 @@ every sweep that came before".  A :class:`HistoryStore` is a single
 sqlite file (usually ``<cache>/history.sqlite``) that
 :meth:`~repro.obs.telemetry.hub.TelemetryHub.close_sweep` appends to:
 one row per sweep (stats, git sha, wall time, hardening counters) and
-one row per run (spec key, engine, outcome, wall time, makespan,
-energy, peak RSS, scalar metrics).
+one row per run (spec key, outcome, wall time, makespan, energy, peak
+RSS, scalar metrics; the ``engine`` column is kept for rows written
+while a second backend existed).
 
 On top of the store sit the regression gates:
 
@@ -391,28 +392,20 @@ def trajectory_entries(record: Dict[str, Any], pr: int,
                        host: str = "dev-container") -> List[Dict[str, Any]]:
     """``BENCH_trajectory.json`` entries from a ``--json`` benchmark record.
 
-    One entry per engine timed by ``profile_sweep.py --json`` — the same
-    schema the hand-written PR-1/PR-6 entries follow, now generated from
-    the measurement itself (satellite of PR-7): ``repro history
+    ``profile_sweep.py --json`` times the reference engine, so the record
+    yields one ``ref`` entry — the schema the file's hand-written entries
+    follow, generated from the measurement itself: ``repro history
     export-trajectory --record perf.json --pr N --append
     BENCH_trajectory.json``.
     """
-    entries = []
-    speedups = record.get("speedup_vs_seed", {})
-    for engine, numbers in record.get("engines", {}).items():
-        entry = {
-            "pr": pr,
-            "git_sha": record.get("git_sha", "unknown"),
-            "engine": engine,
-            "workload": record.get("workload", "unknown"),
-            "wall_s": numbers["wall_s"],
-            "speedup_vs_seed": speedups.get(engine),
-            "host": host,
-        }
-        if engine == "fast" and "ratio_fast_over_ref" in record:
-            entry["ratio_fast_over_ref"] = record["ratio_fast_over_ref"]
-        entries.append(entry)
-    return entries
+    return [{
+        "pr": pr,
+        "git_sha": record.get("git_sha", "unknown"),
+        "engine": "ref",
+        "workload": record.get("workload", "unknown"),
+        "wall_s": record["wall_s"],
+        "host": host,
+    }]
 
 
 def append_trajectory(path: Path, entries: List[Dict[str, Any]]) -> int:

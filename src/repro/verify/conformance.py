@@ -16,11 +16,7 @@ for
   identically under two different ``PYTHONHASHSEED`` values in fresh
   interpreters;
 * **cache round-trip** — the result survives the content-addressed
-  cache and the JSON serializer losslessly;
-* **fast-engine parity or declared refusal** — policies registered with
-  a ``fast_factory`` must be bit-identical on the fast engine; policies
-  without one must refuse with the registry's standard error instead of
-  crashing.
+  cache and the JSON serializer losslessly.
 
 ``tests/test_policy_conformance.py`` parametrizes this battery over
 ``available_policies()``, and the CI conformance-matrix job runs it per
@@ -41,9 +37,8 @@ from typing import List, Optional, Tuple
 
 from ..faults.plan import FaultConfig
 from ..sched.cfs import CfsPolicy
-from ..sched.registry import make_registered_fast_policy, policy_info
-from .differential import (canonical, check_cached_roundtrip,
-                           check_engine_parity)
+from ..sched.registry import policy_info
+from .differential import canonical, check_cached_roundtrip
 from .execute import run_scenario
 from .generate import Scenario, freeze_faults
 from .oracle import Violation, check_run
@@ -165,8 +160,8 @@ def _format_violations(violations: List[Violation]) -> str:
     return shown + (f" (+{more} more)" if more > 0 else "")
 
 
-def run_conformance(policy: str, *, hashseed_check: bool = True,
-                    parity_check: bool = True) -> ConformanceReport:
+def run_conformance(policy: str, *,
+                    hashseed_check: bool = True) -> ConformanceReport:
     """Drive one registered policy through the full battery."""
     info = policy_info(policy)   # raises for unknown names
     report = ConformanceReport(policy=info.name)
@@ -201,27 +196,6 @@ def run_conformance(policy: str, *, hashseed_check: bool = True,
         add(ConformanceCheck(
             "cache_roundtrip", BASELINE_LABEL, not cache_v,
             _format_violations(cache_v)))
-
-        if info.fast and parity_check:
-            for label in ("warm", "forky"):
-                scenario, art = arts[label]
-                parity_v = list(check_engine_parity(scenario, ref_art=art))
-                add(ConformanceCheck(
-                    "engine_parity", label, not parity_v,
-                    _format_violations(parity_v)))
-        elif not info.fast:
-            try:
-                make_registered_fast_policy(info.name)
-            except ValueError as exc:
-                ok = "no fast-engine variant" in str(exc)
-                add(ConformanceCheck(
-                    "declared_refusal", "-", ok,
-                    "" if ok else f"unexpected refusal message: {exc}"))
-            else:
-                add(ConformanceCheck(
-                    "declared_refusal", "-", False,
-                    "registry has no fast_factory but "
-                    "make_registered_fast_policy returned a policy"))
 
         if hashseed_check:
             digests = [_digest_under_hashseed(base_scenario, h)

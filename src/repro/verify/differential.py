@@ -162,60 +162,6 @@ def check_empty_fault_plan(scenario: Scenario) -> Iterable[Violation]:
             f"a zero-fault plan perturbed {_diff_fields(a, b)}")
 
 
-def check_engine_parity(scenario: Scenario,
-                        ref_art=None) -> Iterable[Violation]:
-    """The fast engine must be bit-identical to the reference engine.
-
-    Compares the full :class:`RunArtifacts` of both backends: the
-    ``RunResult`` image (measurements, metrics snapshot, extras), the
-    structured event-log stream record by record, the final nest
-    membership, and crash behaviour.  The fuzzer passes the reference
-    artifacts it already computed (``ref_art``); shrink-time re-checks
-    recompute both sides from the scenario alone.
-    """
-    from ..sim.fastengine import FAST_SCHEDULERS
-    from .execute import run_scenario
-
-    if scenario.scheduler not in FAST_SCHEDULERS:
-        # FT-RT (and any future ref-only policy) has no fast variant;
-        # make_fast_policy refuses it with a tested error, so parity is
-        # vacuous rather than a crash mismatch.
-        return
-
-    if ref_art is None:
-        ref_art = run_scenario(scenario)
-    fast_art = run_scenario(scenario, engine="fast")
-
-    if fast_art.error != ref_art.error:
-        yield Violation(
-            "diff.engine_parity",
-            f"crash mismatch: ref={ref_art.error!r} "
-            f"fast={fast_art.error!r}")
-        return
-    if ref_art.error is not None:
-        return  # both crashed identically; nothing further to compare
-
-    a = canonical(ref_art.result, scenario.machine)
-    b = canonical(fast_art.result, scenario.machine)
-    if a != b:
-        yield Violation(
-            "diff.engine_parity",
-            f"RunResult differs between engines on {_diff_fields(a, b)}")
-    if ref_art.events != fast_art.events:
-        n = min(len(ref_art.events), len(fast_art.events))
-        idx = next((j for j in range(n)
-                    if ref_art.events[j] != fast_art.events[j]), n)
-        yield Violation(
-            "diff.engine_parity",
-            f"event streams diverge at record {idx} "
-            f"(ref {len(ref_art.events)} events, "
-            f"fast {len(fast_art.events)})")
-    if ref_art.nest != fast_art.nest:
-        yield Violation(
-            "diff.engine_parity",
-            "final nest membership differs between engines")
-
-
 def check_nest_vs_cfs(scenario: Scenario) -> Iterable[Violation]:
     """Policies place work; they must not create or destroy it."""
     if scenario.scheduler != "nest" or scenario.max_us is not None:
@@ -232,13 +178,10 @@ def check_nest_vs_cfs(scenario: Scenario) -> Iterable[Violation]:
 
 #: All differential checks, in cost order (cheapest first).  The fuzzer
 #: samples from these; ``check_serial_vs_parallel`` spawns processes and
-#: is additionally rate-limited by ``FuzzConfig.par_every``, and
-#: ``check_engine_parity`` is driven by ``FuzzConfig.dual_every`` (it
-#: lives here so shrink-time re-checks replay it like any other diff).
+#: is additionally rate-limited by ``FuzzConfig.par_every``.
 DIFF_CHECKS: Tuple[Tuple[str, Any], ...] = (
     ("diff.cached_roundtrip", check_cached_roundtrip),
     ("diff.empty_fault_plan", check_empty_fault_plan),
     ("diff.nest_vs_cfs", check_nest_vs_cfs),
     ("diff.serial_vs_parallel", check_serial_vs_parallel),
-    ("diff.engine_parity", check_engine_parity),
 )

@@ -37,7 +37,7 @@ class RunArtifacts:
 
 
 def run_scenario(scenario: Scenario, collect_events: bool = True,
-                 probe: bool = True, engine: str = "ref") -> RunArtifacts:
+                 probe: bool = True) -> RunArtifacts:
     """Execute ``scenario``; never raises on simulator failure."""
     machine = get_machine(scenario.machine)
     art = RunArtifacts(scenario=scenario, machine=machine)
@@ -65,7 +65,6 @@ def run_scenario(scenario: Scenario, collect_events: bool = True,
             collect_events=collect_events,
             faults=scenario.faults_obj(),
             policy_probe=policy_probe if probe else None,
-            engine=engine,
         )
     except Exception as exc:
         art.error = f"{type(exc).__name__}: {exc}"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from .differential import DIFF_CHECKS, check_engine_parity
+from .differential import DIFF_CHECKS
 from .execute import run_scenario
 from .generate import Scenario, ScenarioGenerator
 from .oracle import Violation, check_run
@@ -39,10 +39,6 @@ class FuzzConfig:
     #: scenario (0 disables it; it costs ~6 extra simulations plus pool
     #: startup, so it is sampled far more sparsely).
     par_every: int = 100
-    #: Run every Nth scenario through the fast engine as well and require
-    #: bit-identical artifacts (results, event streams, nest membership).
-    #: 1 = every scenario (the default); 0 disables the dual-engine pass.
-    dual_every: int = 1
     #: Stop after this many failing scenarios (0 = never stop early).
     max_failures: int = 5
     #: Where shrunk repro files land (None = don't write them).
@@ -83,7 +79,6 @@ class FuzzReport:
     config: FuzzConfig
     n_runs: int = 0
     n_diff_rounds: int = 0
-    n_dual_rounds: int = 0
     failures: List[Failure] = field(default_factory=list)
     elapsed_s: float = 0.0
 
@@ -103,7 +98,6 @@ class FuzzReport:
             "runs": self.n_runs,
             "base_seed": self.config.base_seed,
             "diff_rounds": self.n_diff_rounds,
-            "dual_engine_rounds": self.n_dual_rounds,
             "ok": self.ok,
             "failures": [f.to_dict() for f in self.failures],
             "elapsed_s": round(self.elapsed_s, 3),
@@ -112,8 +106,7 @@ class FuzzReport:
     def summary(self) -> str:
         verdict = "OK" if self.ok else f"{len(self.failures)} FAILURE(S)"
         return (f"fuzz: {self.n_runs} scenario(s), {self.n_diff_rounds} "
-                f"differential round(s), {self.n_dual_rounds} dual-engine "
-                f"round(s), {verdict} "
+                f"differential round(s), {verdict} "
                 f"[{self.elapsed_s:.1f}s, seed {self.config.base_seed}]")
 
 
@@ -125,8 +118,6 @@ def _diff_violations(scenario: Scenario, index: int,
         if name == "diff.serial_vs_parallel":
             if not config.par_every or index % config.par_every:
                 continue
-        if name == "diff.engine_parity":
-            continue  # driven by dual_every in the main loop, not sampled
         out.extend(fn(scenario))
     return out
 
@@ -170,10 +161,6 @@ def fuzz(config: FuzzConfig, log: Optional[LogFn] = None) -> FuzzReport:
         scenario = gen.generate(i)
         art = run_scenario(scenario)
         violations = list(check_run(art))
-
-        if config.dual_every and i % config.dual_every == 0:
-            report.n_dual_rounds += 1
-            violations.extend(check_engine_parity(scenario, ref_art=art))
 
         run_diffs = (config.diff_every and i % config.diff_every == 0
                      and not violations)

@@ -1,6 +1,6 @@
 """FT-RT fault-tolerant deadline scheduling: the policy registry, the
-primary/backup placement policy, the deadline workload family, the
-fast-engine refusal, and the deadline analyzer + derived metrics.
+primary/backup placement policy, the deadline workload family, and
+the deadline analyzer + derived metrics.
 
 End-to-end kill/recovery behaviour under correlated failures lives in
 test_faults.py (TestCorrelatedFailureRuns); the oracle's rt.* invariants
@@ -227,36 +227,6 @@ class TestDeadlineWorkload:
                                  get_machine("ryzen_4650g"), sched,
                                  "schedutil", seed=5)
             assert res.metrics["kernel.rt_deadline_met"]["value"] == 32
-
-
-# ---------------------------------------------------------------------------
-# Fast-engine refusal and vacuous parity
-
-
-class TestFastEngineRefusal:
-    def test_make_fast_policy_refuses_ftrt(self):
-        from repro.sim.fastengine import make_fast_policy
-        with pytest.raises(ValueError, match="no fast-engine variant"):
-            make_fast_policy("ftrt")
-
-    def test_fast_schedulers_tuple_excludes_ftrt(self):
-        from repro.sim.fastengine import FAST_SCHEDULERS
-        assert "ftrt" not in FAST_SCHEDULERS
-        assert set(FAST_SCHEDULERS) == {"cfs", "nest", "smove"}
-
-    def test_run_experiment_fast_engine_rejects_ftrt(self):
-        with pytest.raises(ValueError, match="no fast-engine variant"):
-            run_experiment(make_workload("deadline-periodic"),
-                           get_machine("ryzen_4650g"), "ftrt",
-                           "schedutil", seed=5, engine="fast")
-
-    def test_engine_parity_skips_ftrt_scenarios(self):
-        from repro.verify.differential import check_engine_parity
-        from repro.verify.generate import Scenario
-        sc = Scenario(workload="deadline-periodic", machine="ryzen_4650g",
-                      scheduler="ftrt", governor="schedutil", seed=5,
-                      scale=1.0)
-        assert list(check_engine_parity(sc)) == []
 
 
 # ---------------------------------------------------------------------------

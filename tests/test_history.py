@@ -231,35 +231,28 @@ class TestExecutorIntegration:
 TRAJ_RECORD = {
     "workload": "configure x combos",
     "git_sha": "abc1234",
-    "engines": {"ref": {"wall_s": 2.0, "events_per_sec": 100.0},
-                "fast": {"wall_s": 1.5, "events_per_sec": 133.0}},
-    "ratio_fast_over_ref": 1.33,
-    "parity_ok": True,
-    "speedup_vs_seed": {"ref": 1.7, "fast": 2.2},
+    "n_simulations": 4,
+    "repeat": 1,
+    "wall_s": 2.0,
+    "events_per_sec": 100.0,
 }
 
 
 class TestTrajectoryExport:
     def test_entries_match_the_trajectory_schema(self):
         entries = trajectory_entries(TRAJ_RECORD, pr=7, host="ci")
-        assert len(entries) == 2
-        by_engine = {e["engine"]: e for e in entries}
-        assert by_engine["ref"]["wall_s"] == 2.0
-        assert by_engine["ref"]["speedup_vs_seed"] == 1.7
-        assert by_engine["fast"]["ratio_fast_over_ref"] == 1.33
-        for e in entries:
-            assert {"pr", "git_sha", "engine", "workload", "wall_s",
-                    "speedup_vs_seed", "host"} <= set(e)
+        assert entries == [{"pr": 7, "git_sha": "abc1234", "engine": "ref",
+                            "workload": "configure x combos",
+                            "wall_s": 2.0, "host": "ci"}]
 
     def test_append_is_idempotent_per_measurement(self, tmp_path):
         path = tmp_path / "traj.json"
         path.write_text(json.dumps({"entries": []}))
         entries = trajectory_entries(TRAJ_RECORD, pr=7)
-        assert append_trajectory(path, entries) == 2
-        assert append_trajectory(path, entries) == 2   # replace, not dup
+        assert append_trajectory(path, entries) == 1
+        assert append_trajectory(path, entries) == 1   # replace, not dup
         doc = json.loads(path.read_text())
-        assert len(doc["entries"]) == 2
-        assert [e["engine"] for e in doc["entries"]] == ["fast", "ref"]
+        assert [e["engine"] for e in doc["entries"]] == ["ref"]
 
     def test_real_trajectory_file_roundtrips(self, tmp_path):
         import shutil
@@ -269,7 +262,7 @@ class TestTrajectoryExport:
         before = json.loads(dst.read_text())["entries"]
         append_trajectory(dst, trajectory_entries(TRAJ_RECORD, pr=99))
         after = json.loads(dst.read_text())["entries"]
-        assert len(after) == len(before) + 2
+        assert len(after) == len(before) + 1
         # The pre-existing hand-written entries are untouched.
         for entry in before:
             assert entry in after
@@ -282,17 +275,19 @@ class TestTrajectoryExport:
         assert main(["history", "export-trajectory",
                      "--record", str(record_path), "--pr", "7",
                      "--host", "ci", "--append", str(traj)]) == 0
-        assert "merged 2" in capsys.readouterr().out
+        assert "merged 1 entry" in capsys.readouterr().out
         doc = json.loads(traj.read_text())
         assert {e["host"] for e in doc["entries"]} == {"ci"}
 
-    def test_cli_export_refuses_parity_failure(self, tmp_path, capsys):
-        bad = dict(TRAJ_RECORD, parity_ok=False)
+    def test_cli_export_refuses_a_record_without_wall_time(self, tmp_path,
+                                                           capsys):
+        old = {"workload": "configure x combos", "git_sha": "abc1234",
+               "engines": {"ref": {"wall_s": 2.0}}}
         record_path = tmp_path / "perf.json"
-        record_path.write_text(json.dumps(bad))
+        record_path.write_text(json.dumps(old))
         assert main(["history", "export-trajectory",
                      "--record", str(record_path), "--pr", "7"]) == 1
-        assert "parity" in capsys.readouterr().err
+        assert "wall_s" in capsys.readouterr().err
 
 
 class TestDerivedMetricGate:

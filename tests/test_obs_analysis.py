@@ -5,8 +5,7 @@ The central contracts under test:
 * every analyzer is a correct single-pass reduction (synthetic logs
   with known answers);
 * a report is deterministic — byte-identical across repeat simulations
-  and across the ``ref``/``fast`` engines — and the fig2 reference
-  report is pinned byte-for-byte in ``tests/data/golden_analysis.json``
+  — and the fig2 reference report is pinned byte-for-byte in ``tests/data/golden_analysis.json``
   (regenerate via tests/golden_regen.py after an intentional change);
 * ``derived.*`` metrics are a pure function of a serialized metrics
   registry and ride into history rows, where ``repro history diff``
@@ -44,10 +43,10 @@ from repro.obs.export import events_from_jsonl, events_to_jsonl
 
 ANALYSIS_GOLDEN_PATH = Path(__file__).parent / "data" / "golden_analysis.json"
 
-_REPORTS = {}
+_CACHE = {}
 
 
-def analysis_golden_run(engine: str = "ref"):
+def analysis_golden_run():
     """The pinned reference run: fig2's traceable spec at scale 0.3."""
     from repro.experiments.registry import get_experiment, reference_spec
     from repro.experiments.runner import run_experiment
@@ -59,19 +58,19 @@ def analysis_golden_run(engine: str = "ref"):
     res = run_experiment(
         make_workload(spec.workload, scale=spec.scale), machine,
         spec.scheduler, spec.governor, seed=spec.seed,
-        record_trace=True, collect_events=True, engine=engine)
+        record_trace=True, collect_events=True)
     return res, machine
 
 
-def analysis_golden_report(engine: str = "ref", cached: bool = True):
+def analysis_golden_report(cached: bool = True):
     """The full analysis report of the pinned reference run."""
-    if cached and engine in _REPORTS:
-        return _REPORTS[engine]
-    res, machine = analysis_golden_run(engine)
+    if cached and "report" in _CACHE:
+        return _CACHE["report"]
+    res, machine = analysis_golden_run()
     report = analyze_run(res, res.events, n_cpus=machine.n_cpus,
                          segments=res.trace_segments)
     if cached:
-        _REPORTS[engine] = report
+        _CACHE["report"] = report
     return report
 
 
@@ -291,18 +290,14 @@ class TestRunAnalyzers:
 
 
 # ---------------------------------------------------------------------------
-# Determinism: repeats, engines and the pinned golden
+# Determinism: repeats and the pinned golden
 # ---------------------------------------------------------------------------
 
 class TestDeterminism:
     def test_repeat_simulation_byte_identical(self):
-        a = report_json(analysis_golden_report("ref", cached=False))
-        b = report_json(analysis_golden_report("ref", cached=False))
+        a = report_json(analysis_golden_report(cached=False))
+        b = report_json(analysis_golden_report(cached=False))
         assert a == b
-
-    def test_ref_and_fast_engines_byte_identical(self):
-        assert report_json(analysis_golden_report("ref")) == \
-            report_json(analysis_golden_report("fast"))
 
     def test_matches_golden_file(self):
         assert ANALYSIS_GOLDEN_PATH.is_file(), \

@@ -18,7 +18,7 @@ SCXNEST_GOLDEN_PATH = (Path(__file__).parent / "data"
 _CACHE = {}
 
 
-def scxnest_golden_run(engine: str = "ref"):
+def scxnest_golden_run():
     """The pinned scxnest reference run (the conformance 'warm' box)."""
     from repro.experiments.runner import run_experiment
     from repro.hw.machines import get_machine
@@ -28,7 +28,7 @@ def scxnest_golden_run(engine: str = "ref"):
     res = run_experiment(
         make_workload("dacapo-h2", scale=0.1), machine,
         "scxnest", "schedutil", seed=3,
-        record_trace=True, collect_events=True, engine=engine)
+        record_trace=True, collect_events=True)
     return res, machine
 
 

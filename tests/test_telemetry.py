@@ -2,7 +2,7 @@
 
 The load-bearing property is the last one: a sweep with telemetry
 enabled must produce **bit-identical** results to one without — across
-the pool path, the serial path, both engines and fault injection.
+the pool path, the serial path and fault injection.
 Telemetry observes; it never steers.
 """
 
@@ -332,13 +332,9 @@ class TestZeroPerturbation:
         ex = SweepExecutor(jobs=jobs, cache=None, telemetry=hub)
         return [canonical(r) for r in ex.run(specs)]
 
-    @pytest.mark.parametrize("engine", ["ref", "fast"])
-    def test_bit_identical_with_and_without_telemetry(self, tmp_path,
-                                                      engine):
-        import dataclasses
-        specs = [dataclasses.replace(s, engine=engine) for s in SPECS]
-        with_t = self._images(specs, True, tmp_path)
-        without = self._images(specs, False)
+    def test_bit_identical_with_and_without_telemetry(self, tmp_path):
+        with_t = self._images(SPECS, True, tmp_path)
+        without = self._images(SPECS, False)
         assert with_t == without
 
     def test_bit_identical_under_fault_injection(self, tmp_path):
