@@ -393,19 +393,15 @@ class FreqModel:
             return    # settled idle core: target == mhz == min
         now = self.engine.now
         target = self._target_mhz(pc, now)
-        if st.step_event is not None:
-            self.engine.cancel(st.step_event)
-            st.step_event = None
+        delay: Optional[int] = None
         if target == st.mhz:
             # If turbo reluctance is still capping us, wake up when it lifts.
             if st.is_active and self.pm.turbo_latency_us > 0 \
                     and st.active_since is not None:
                 remaining = self.pm.turbo_latency_us - (now - st.active_since)
                 if remaining > 0:
-                    st.step_event = self.engine.after(
-                        remaining, EventKind.FREQ, self._step, (pc,))
-            return
-        if target > st.mhz:
+                    delay = remaining
+        elif target > st.mhz:
             delay = self.pm.ramp_interval_us
         else:
             delay = self.pm.decay_interval_us
@@ -413,8 +409,18 @@ class FreqModel:
                 held = now - st.idle_since
                 if held < self.pm.idle_hold_us:
                     delay = self.pm.idle_hold_us - held
-        st.step_event = self.engine.after(
-            delay, EventKind.FREQ, self._step, (pc,))
+        ev = st.step_event
+        if delay is None:
+            if ev is not None:
+                self.engine.cancel(ev)
+                st.step_event = None
+        elif ev is not None:
+            # Re-pricing mostly lands the step at the time already pending;
+            # moving the event in place keeps tombstones out of the queue.
+            st.step_event = self.engine.reschedule(ev, delay)
+        else:
+            st.step_event = self.engine.after(
+                delay, EventKind.FREQ, self._step, (pc,))
 
     def _step(self, pc: int) -> None:
         """One ramp step: move the frequency toward the current target."""

@@ -73,6 +73,19 @@ class Engine:
             raise SimulationError(f"negative delay: {delay}")
         return self.queue.schedule(self.clock.now + delay, kind, callback, args)
 
+    def reschedule(self, ev: Event, delay: int) -> Event:
+        """Move pending event ``ev`` to ``delay`` microseconds from now.
+
+        Same result as ``cancel(ev)`` then ``after(delay, ...)`` with ev's
+        kind, callback and args, but usually reuses ``ev`` (see
+        :meth:`EventQueue.reschedule`).  Returns the live handle.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay: {delay}")
+        if ev.cancelled:
+            raise SimulationError(f"rescheduling a cancelled event: {ev!r}")
+        return self.queue.reschedule(ev, self.clock.now + delay)
+
     def cancel(self, ev: Event) -> None:
         self.queue.cancel(ev)
 

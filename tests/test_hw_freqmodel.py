@@ -1,5 +1,7 @@
 """Tests for the DVFS model."""
 
+import random
+
 import pytest
 
 from repro.hw.freqmodel import (FreqModel, PMParams, SPEED_SHIFT, SPEED_STEP)
@@ -181,3 +183,68 @@ class TestListeners:
         eng, fm, _ = make()
         fm.force_freq(3, 2222)
         assert fm.core_freq_mhz(3) == 2222
+
+
+class _CancelAfterEngine(Engine):
+    """Reference engine: reschedule is cancel followed by after."""
+
+    def reschedule(self, ev, delay):
+        self.cancel(ev)
+        return self.after(delay, ev.kind, ev.callback, ev.args)
+
+
+def _repricing_churn(engine_cls, seed=7):
+    """Re-price cores 1,000 times at one instant, then keep re-pricing as
+    time runs.  Returns the listener trace, the largest heap seen during
+    the fixed-instant phase and the final number of pending events."""
+    topo = Topology(2, 16, 2)
+    n_pc = topo.n_physical_cores
+    eng = engine_cls()
+    gov = StubGovernor(floor=XEON_5218.min_mhz, request=2000)
+    fm = FreqModel(eng, topo, XEON_5218, SPEED_STEP, gov)
+    trace = []
+    fm.add_listener(lambda pc, mhz: trace.append((eng.now, pc, mhz)))
+    rng = random.Random(seed)
+
+    def request():
+        return rng.randrange(XEON_5218.min_mhz + 100, 4000, 100)
+
+    # Thread 0 of every core stays busy, so every core stays active while
+    # its sibling toggles and the governor's request moves.
+    for pc in range(n_pc):
+        fm.set_thread_state(pc, busy=True, spinning=False)
+    max_heap = 0
+    for _ in range(1_000):
+        cpu = n_pc + rng.randrange(n_pc)
+        if rng.random() < 0.5:
+            busy = rng.random() < 0.5
+            fm.set_thread_state(cpu, busy=busy,
+                                spinning=not busy and rng.random() < 0.5)
+        else:
+            gov.request = request()
+            fm.notify_request_change(cpu)
+        max_heap = max(max_heap, len(eng.queue._heap))
+    # Then any thread, idle included, as time advances: ramps, decays,
+    # idle holds and cancelled steps all occur.
+    for _ in range(300):
+        eng.run(until=eng.now + rng.randrange(0, 1_500))
+        cpu = rng.randrange(topo.n_cpus)
+        state = rng.randrange(3)
+        fm.set_thread_state(cpu, busy=state == 1, spinning=state == 2)
+        gov.request = request()
+        fm.notify_request_change(rng.randrange(topo.n_cpus))
+    eng.run(until=eng.now + 100_000)
+    return trace, max_heap, len(eng.queue)
+
+
+class TestRepricingChurn:
+    def test_same_instant_repricing_does_not_grow_the_heap(self):
+        _, max_heap, _ = _repricing_churn(Engine)
+        assert max_heap <= 2 * Topology(2, 16, 2).n_physical_cores
+
+    def test_trace_matches_cancel_then_after(self):
+        trace, _, pending = _repricing_churn(Engine)
+        ref_trace, _, ref_pending = _repricing_churn(_CancelAfterEngine)
+        assert len(trace) > 100
+        assert trace == ref_trace
+        assert pending == ref_pending

@@ -126,3 +126,27 @@ class TestRng:
         a = RngRegistry(7).fork("wl").stream("x").random()
         b = RngRegistry(7).fork("wl").stream("x").random()
         assert a == b
+
+
+class TestReschedule:
+    def test_reschedule_is_relative_to_now(self):
+        eng = Engine()
+        fired = []
+        ev = eng.after(10, EventKind.FREQ, lambda: fired.append(eng.now))
+        eng.after(5, EventKind.CONTROL,
+                  lambda: eng.reschedule(ev, 20))
+        eng.run()
+        assert fired == [25]
+
+    def test_negative_delay_rejected(self):
+        eng = Engine()
+        ev = eng.after(10, EventKind.FREQ, lambda: None)
+        with pytest.raises(SimulationError):
+            eng.reschedule(ev, -1)
+
+    def test_cancelled_handle_rejected(self):
+        eng = Engine()
+        ev = eng.after(10, EventKind.FREQ, lambda: None)
+        eng.cancel(ev)
+        with pytest.raises(SimulationError):
+            eng.reschedule(ev, 5)
