@@ -14,8 +14,8 @@ honest — the hot-path optimization work:
     PYTHONPATH=src python benchmarks/profile_sweep.py --obs-check # obs guard
 
 ``--json`` times the sweep un-profiled and writes a machine-readable
-record (wall seconds, events/s) — the format ``BENCH_trajectory.json``
-entries are built from.  Wall seconds depend on the host, so compare
+record (total wall seconds, the per-pass median/min/max, events/s) — the
+format ``BENCH_trajectory.json`` entries are built from.  Wall seconds depend on the host, so compare
 them only against a baseline timed on the same host: ``simbench/run.py
 --reference-tree DIR`` and ``simbench/reference.py`` do that against
 another checkout (e.g. the seed tree from ``git archive``).
@@ -34,6 +34,7 @@ import argparse
 import cProfile
 import json
 import pstats
+import statistics
 import subprocess
 import time
 
@@ -63,11 +64,14 @@ def run_sweep(sweep, collect_events=False):
 
 
 def time_sweep(sweep, repeat):
-    """Un-profiled wall time of ``repeat`` sweep passes, plus results."""
-    t0 = time.perf_counter()
+    """Un-profiled wall time of each of ``repeat`` sweep passes, plus the
+    last pass's results."""
+    walls = []
     for _ in range(repeat):
+        t0 = time.perf_counter()
         results = run_sweep(sweep)
-    return time.perf_counter() - t0, results
+        walls.append(time.perf_counter() - t0)
+    return walls, results
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +146,13 @@ def _git_sha() -> str:
 
 
 def benchmark_record(sweep, sweep_name, repeat, with_phases=False):
-    """Time the sweep un-profiled and build the JSON record."""
-    wall, results = time_sweep(sweep, repeat)
+    """Time the sweep un-profiled and build the JSON record.
+
+    ``wall_s`` is the total over the ``repeat`` passes; the per-pass
+    median, min and max show how noisy the host was while timing.
+    """
+    walls, results = time_sweep(sweep, repeat)
+    wall = sum(walls)
     events = sum(r.events_processed for r in results) * repeat
     record = {
         "workload": sweep_name,
@@ -151,6 +160,9 @@ def benchmark_record(sweep, sweep_name, repeat, with_phases=False):
         "n_simulations": len(sweep) * repeat,
         "repeat": repeat,
         "wall_s": round(wall, 3),
+        "wall_s_median": round(statistics.median(walls), 3),
+        "wall_s_min": round(min(walls), 3),
+        "wall_s_max": round(max(walls), 3),
         "events_per_sec": round(events / wall, 0),
     }
     if with_phases:

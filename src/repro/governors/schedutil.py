@@ -28,30 +28,48 @@ class SchedutilGovernor(Governor):
         self._obs = EventLog()   # replaced with the engine's log on bind
 
     def on_bind(self) -> None:
-        self._obs = self.kernel.engine.obs
+        # The frequency model asks for a request on every re-pricing, so
+        # everything that is fixed for the kernel's lifetime is bound once.
+        # ``_scale`` keeps the kernel's ``HEADROOM * max_turbo_mhz`` product:
+        # ``_scale * util / PELT_MAX`` is then bit-identical to the formula
+        # evaluated left to right.
+        kernel = self.kernel
+        machine = kernel.machine
+        self._engine = kernel.engine
+        self._obs = kernel.engine.obs
+        self._rqs = kernel.rqs
+        self._cpus = kernel.cpus
+        self._min_mhz = machine.min_mhz
+        self._max_turbo_mhz = machine.max_turbo_mhz
+        self._scale = HEADROOM * machine.max_turbo_mhz
 
     def floor_mhz(self, cpu: int) -> int:
-        return self.kernel.machine.min_mhz
+        return self._min_mhz
 
     def request_mhz(self, cpu: int) -> int:
-        kernel = self.kernel
-        now = kernel.engine.now
-        rq = kernel.rqs[cpu]
+        now = self._engine.now
+        rq = self._rqs[cpu]
         # Running average of cpu activity...
         util = rq.util(now)
         # ...bumped immediately by the utilisation estimates of the tasks
         # now attached to the cpu (the kernel's util_est): a wakeup of a
         # known-busy task raises the request without waiting for PELT.
         est = 0.0
-        current = kernel.cpus[cpu].current
+        current = self._cpus[cpu].current
         if current is not None:
-            est += max(current.util_est, current.pelt.peek(now, True))
-        for t in rq.queued_tasks():
-            est += t.util_est
-        util = max(util, min(PELT_MAX, est))
-        f = HEADROOM * kernel.machine.max_turbo_mhz * util / PELT_MAX
-        mhz = max(kernel.machine.min_mhz,
-                  min(kernel.machine.max_turbo_mhz, int(f)))
+            ue = current.util_est
+            pelt = current.pelt.peek(now, True)
+            est += pelt if pelt > ue else ue
+        est = rq.add_queued_util_est(est)
+        if est >= PELT_MAX:
+            est = PELT_MAX
+        if est > util:
+            util = est
+        mhz = int(self._scale * util / PELT_MAX)
+        if mhz > self._max_turbo_mhz:
+            mhz = self._max_turbo_mhz
+        if mhz < self._min_mhz:
+            mhz = self._min_mhz
         if self._obs.enabled:
             self._obs.emit(now, oev.FREQ_REQUEST, cpu=cpu, value=mhz)
         return mhz

@@ -91,23 +91,28 @@ class EnergyMeter:
 
     def _compute_power(self) -> float:
         p = self.params
-        topo = self.topology
+        uncore = p.uncore_watts
+        idle = p.core_idle_watts
+        static = p.core_static_watts
+        c_dyn = p.c_dyn
+        v0 = p.v0
+        v_slope = p.v_slope
+        active = self._core_active
+        core_mhz = self._core_mhz
+        cps = self.topology.cores_per_socket
         total = 0.0
-        cps = topo.cores_per_socket
-        for socket in range(topo.n_sockets):
-            total += p.uncore_watts
-            base = socket * cps
+        for base in range(0, self.topology.n_sockets * cps, cps):
+            total += uncore
             vmax_mhz = 0
             for pc in range(base, base + cps):
-                if self._core_active[pc]:
-                    vmax_mhz = max(vmax_mhz, self._core_mhz[pc])
-            v = p.v0 + p.v_slope * (vmax_mhz / 1000.0)
+                if active[pc] and core_mhz[pc] > vmax_mhz:
+                    vmax_mhz = core_mhz[pc]
+            v = v0 + v_slope * (vmax_mhz / 1000.0)
             for pc in range(base, base + cps):
-                if self._core_active[pc]:
-                    f_ghz = self._core_mhz[pc] / 1000.0
-                    total += p.core_static_watts + p.c_dyn * f_ghz * v * v
+                if active[pc]:
+                    total += static + c_dyn * (core_mhz[pc] / 1000.0) * v * v
                 else:
-                    total += p.core_idle_watts
+                    total += idle
         return total
 
     def advance(self, now: int) -> None:

@@ -192,6 +192,14 @@ class FreqModel:
         else:
             cap = turbo.nominal_mhz
         self._presustain_cap_mhz = max(cap, turbo.nominal_mhz)
+        # PMParams is frozen: the fields read on every re-pricing are
+        # bound once, as is the queue that ramp steps move within.
+        self._queue = engine.queue
+        self._turbo_latency_us = pm.turbo_latency_us
+        self._autonomous_boost = pm.autonomous_boost
+        self._ramp_interval_us = pm.ramp_interval_us
+        self._decay_interval_us = pm.decay_interval_us
+        self._idle_hold_us = pm.idle_hold_us
         #: Thermal caps injected by faults/ (None = uncapped).  A cap
         #: clamps the target below everything else the model computes,
         #: like a firmware thermal limit.
@@ -330,8 +338,8 @@ class FreqModel:
         ceiling = self._ceiling_by_active[
             self._socket_active[self._socket_of_pc[pc]]]
         sustained = (st.active_since is not None
-                     and now - st.active_since >= self.pm.turbo_latency_us)
-        if sustained and self.pm.autonomous_boost:
+                     and now - st.active_since >= self._turbo_latency_us)
+        if sustained and self._autonomous_boost:
             # HWP autonomous boost: the hardware drives a continuously-
             # active core to its full turbo budget, whatever the governor
             # hints.
@@ -352,13 +360,20 @@ class FreqModel:
                 f = governor.floor_mhz(t)
                 if f > floor:
                     floor = f
-            target = min(ceiling, max(request, floor))
+            # min(ceiling, max(request, floor)), as comparisons.
+            target = floor if floor > request else request
+            if target >= ceiling:
+                target = ceiling
         # A spinning idle loop looks 100%-active to the hardware, which
         # therefore holds the frequency even if the governor's request sinks
         # (Nest's warm-core mechanism, §3.2).
         if st.spinning_threads > 0 and st.active_threads == 0:
-            target = min(ceiling, max(target, st.mhz))
-        target = max(target, self._min_mhz)
+            if st.mhz > target:
+                target = st.mhz
+            if target >= ceiling:
+                target = ceiling
+        if self._min_mhz > target:
+            target = self._min_mhz
         cap = self._thermal_cap[pc]
         if cap is not None and target > cap:
             target = cap
@@ -396,19 +411,20 @@ class FreqModel:
         delay: Optional[int] = None
         if target == st.mhz:
             # If turbo reluctance is still capping us, wake up when it lifts.
-            if st.is_active and self.pm.turbo_latency_us > 0 \
+            latency = self._turbo_latency_us
+            if st.is_active and latency > 0 \
                     and st.active_since is not None:
-                remaining = self.pm.turbo_latency_us - (now - st.active_since)
+                remaining = latency - (now - st.active_since)
                 if remaining > 0:
                     delay = remaining
         elif target > st.mhz:
-            delay = self.pm.ramp_interval_us
+            delay = self._ramp_interval_us
         else:
-            delay = self.pm.decay_interval_us
+            delay = self._decay_interval_us
             if st.idle_since is not None:
                 held = now - st.idle_since
-                if held < self.pm.idle_hold_us:
-                    delay = self.pm.idle_hold_us - held
+                if held < self._idle_hold_us:
+                    delay = self._idle_hold_us - held
         ev = st.step_event
         if delay is None:
             if ev is not None:
@@ -417,7 +433,9 @@ class FreqModel:
         elif ev is not None:
             # Re-pricing mostly lands the step at the time already pending;
             # moving the event in place keeps tombstones out of the queue.
-            st.step_event = self.engine.reschedule(ev, delay)
+            # Every delay above is positive, so the queue is called
+            # directly, without Engine.reschedule's argument checks.
+            st.step_event = self._queue.reschedule(ev, now + delay)
         else:
             st.step_event = self.engine.after(
                 delay, EventKind.FREQ, self._step, (pc,))

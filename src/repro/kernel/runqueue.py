@@ -115,6 +115,16 @@ class RunQueue:
     def queued_tasks(self) -> List[Task]:
         return [t for _, _, t in self._heap if t.tid in self._queued]
 
+    def add_queued_util_est(self, est: float) -> float:
+        """``est`` plus each queued task's ``util_est``, added one at a time
+        in :meth:`queued_tasks` order (so the float sum is the same), but
+        without building the list — schedutil calls this per request."""
+        queued = self._queued
+        for _, _, t in self._heap:
+            if t.tid in queued:
+                est += t.util_est
+        return est
+
     # ---- placement signals ------------------------------------------------
 
     def load_avg(self, now: int) -> float:
