@@ -1,15 +1,11 @@
 """Analysis: statistics, table rendering, ASCII plots."""
 
-from .export import (comparison_to_dict, comparison_to_json, result_to_dict,
-                     results_to_csv, results_to_json)
 from .plots import render_bars, render_core_trace, render_distribution
 from .stats import (SPEEDUP_BANDS, band_counts, classify_speedup, mean,
                     relative_stddev, speedup_of_means, stddev)
 from .tables import pct, render_band_table, render_speedup_table, render_table
 
 __all__ = [
-    "result_to_dict", "results_to_json", "results_to_csv",
-    "comparison_to_dict", "comparison_to_json",
     "render_bars", "render_core_trace", "render_distribution",
     "SPEEDUP_BANDS", "band_counts", "classify_speedup", "mean",
     "relative_stddev", "speedup_of_means", "stddev",

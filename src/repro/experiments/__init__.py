@@ -1,13 +1,11 @@
-"""Experiment harness, per-figure registry, canonical configurations."""
+"""Experiment harness and per-figure registry."""
 
-from .configs import FAST, FULL, HarnessConfig, STANDARD
 from .registry import (EXPERIMENTS, Experiment, FIGURE_MACHINES,
                        all_experiments, get_experiment)
 from .runner import (BASELINE, Comparison, ComboStats, STANDARD_COMBOS,
                      compare, make_governor, make_policy, run_experiment)
 
 __all__ = [
-    "FAST", "STANDARD", "FULL", "HarnessConfig",
     "EXPERIMENTS", "Experiment", "FIGURE_MACHINES",
     "all_experiments", "get_experiment",
     "BASELINE", "STANDARD_COMBOS", "Comparison", "ComboStats",

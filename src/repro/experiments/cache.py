@@ -310,22 +310,6 @@ class ResultCache:
         return {"checked": checked, "corrupt": len(bad), "entries": bad,
                 "quarantine_dir": str(self.root / QUARANTINE_DIR)}
 
-    # -- sidecar reports -------------------------------------------------
-
-    def write_report(self, name: str, payload: Dict[str, Any]) -> Path:
-        """Atomically write a named JSON report next to the cache entries
-        (used for the ``last-sweep`` observability report)."""
-        path = self.root / f"{name}.json"
-        atomic_write_json(path, payload, indent=2, sort_keys=True)
-        return path
-
-    def read_report(self, name: str) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self.root / f"{name}.json", encoding="utf-8") as fh:
-                return json.load(fh)
-        except (OSError, json.JSONDecodeError):
-            return None
-
     # -- maintenance -----------------------------------------------------
 
     def stats(self) -> Dict[str, Any]:

@@ -10,7 +10,7 @@ Usage (installed as ``python -m repro`` or the ``nest-repro`` script)::
     python -m repro compare --workload dacapo-h2 --machine 6130_4s --jobs 8
     python -m repro sweep fig5 --seeds 2 --scale 0.5   # registry sweep
     python -m repro cache stats          # result-cache maintenance
-    python -m repro obs report           # last sweep's observability report
+    python -m repro obs report           # newest sweep in the run history
     python -m repro obs dashboard        # self-contained HTML dashboard
     python -m repro obs analyze fig2 --scale 0.3   # trace-analysis report
     python -m repro obs query fig2 --kind place --cpu 3   # event queries
@@ -28,7 +28,8 @@ the content-addressed result cache under ``.repro-cache/`` unless
 ``--no-cache`` is given, and show a live view with ``--progress``
 (``--progress=plain`` for CI logs).  Every sweep streams telemetry to
 ``<cache>/telemetry/<sweep>.jsonl`` and archives itself into
-``<cache>/history.sqlite`` (disable with ``--no-telemetry``); ``repro
+``<cache>/history.sqlite``, the only on-disk record of a sweep (``--no-cache``
+sweeps keep none); ``repro obs report`` digests the newest one, ``repro
 history diff`` gates a sweep against a baseline and ``repro obs
 dashboard`` renders the whole thing as one self-contained HTML file.
 """
@@ -53,7 +54,7 @@ from ..sched.registry import available_policies, iter_policy_infos
 # Re-exported for backward compatibility: the catalogue used to live here.
 from ..workloads.catalog import make_workload, workload_names
 from .cache import ResultCache
-from .parallel import SweepExecutor, stderr_progress
+from .parallel import SweepExecutor, SweepStats
 from .registry import EXPERIMENTS, get_experiment, reference_spec, specs_for
 from .runner import STANDARD_COMBOS, compare, run_experiment
 
@@ -71,23 +72,16 @@ def _executor_from_args(args) -> SweepExecutor:
     if not getattr(args, "no_cache", False):
         root = getattr(args, "cache_dir", None)
         cache = ResultCache(Path(root) if root else None)
-    mode = getattr(args, "progress", None)
-    progress = None
+    view = make_view(getattr(args, "progress", None) or "none", sys.stderr)
     telemetry = None
-    if getattr(args, "no_telemetry", False):
-        # Hub disabled: keep the legacy single-line progress callback.
-        if mode not in (None, "none"):
-            progress = stderr_progress
-    else:
-        view = make_view(mode or "none", sys.stderr)
-        if cache is not None or view is not None:
-            stream_dir = history = None
-            if cache is not None:
-                stream_dir = cache.root / "telemetry"
-                history = HistoryStore(cache.root / "history.sqlite")
-            telemetry = TelemetryHub(stream_dir=stream_dir, view=view,
-                                     history=history)
-    return SweepExecutor(jobs=args.jobs, cache=cache, progress=progress,
+    if cache is not None or view is not None:
+        stream_dir = history = None
+        if cache is not None:
+            stream_dir = cache.root / "telemetry"
+            history = HistoryStore(cache.root / "history.sqlite")
+        telemetry = TelemetryHub(stream_dir=stream_dir, view=view,
+                                 history=history)
+    return SweepExecutor(jobs=args.jobs, cache=cache,
                          timeout_s=getattr(args, "timeout", None),
                          retries=getattr(args, "retries", 2),
                          skip_failures=getattr(args, "keep_going", False),
@@ -210,47 +204,33 @@ def _cmd_obs(args) -> int:
         return _cmd_obs_analyze(args)
     if args.action == "query":
         return _cmd_obs_query(args)
-    root = Path(args.cache_dir) if args.cache_dir else None
-    cache = ResultCache(root)
-    report = cache.read_report("last-sweep")
-    if report is None:
-        print(f"no sweep report under {cache.root} — run a sweep or "
-              f"compare first", file=sys.stderr)
+    import json as _json
+    path = _history_path(args.cache_dir)
+    if not path.exists():
+        print(f"no run history at {path} — run a sweep or compare first",
+              file=sys.stderr)
         return 1
-    if getattr(args, "json", False):
-        import json as _json
-        print(_json.dumps(report, sort_keys=True, indent=2))
+    with HistoryStore(path) as store:
+        try:
+            sweep = store.resolve("last")
+        except KeyError:
+            print(f"run history at {path} is empty — run a sweep or "
+                  f"compare first", file=sys.stderr)
+            return 1
+        stats = _json.loads(sweep.pop("stats_json"))
+        runs = store.runs_of(sweep["id"])
+    if args.json:
+        print(_json.dumps({"sweep": sweep, "stats": stats, "runs": runs},
+                          sort_keys=True, indent=2))
         return 0
-    st = report.get("stats", {})
-    print(f"last sweep: {st.get('n_specs', 0)} runs, "
-          f"{st.get('simulated', 0)} simulated, "
-          f"{st.get('cache_hits', 0)} cached, "
-          f"{st.get('wall_s', 0.0):.2f}s wall "
-          f"({st.get('workers', 0)} worker(s))")
-    if st.get("cache_used"):
-        print(f"  cache: {st.get('cache_hits', 0)} hit(s), "
-              f"{st.get('cache_misses', 0)} miss(es)")
-    if st.get("simulated"):
-        print(f"  {st.get('events', 0):,} engine events, "
-              f"{st.get('events_per_sec', 0.0):,.0f} events/s, "
-              f"{st.get('sim_wall_s', 0.0):.2f}s summed sim time")
-    if st.get("retried") or st.get("timeouts") or st.get("skipped") \
-            or st.get("recovered") or st.get("degraded"):
-        print(f"  hardening: {st.get('retried', 0)} retried, "
-              f"{st.get('timeouts', 0)} timeout(s), "
-              f"{st.get('recovered', 0)} recovered from checkpoint, "
-              f"{st.get('skipped', 0)} skipped"
-              + (", degraded to serial" if st.get("degraded") else ""))
-    if report.get("interrupted"):
-        print("  NOTE: sweep was interrupted; completed runs are "
-              "checkpointed and will be reused on the next run")
-    runs = report.get("runs", [])
-    slowest = sorted(runs, key=lambda r: -r.get("sim_wall_s", 0.0))
+    fields = {f.name for f in dataclasses.fields(SweepStats)}
+    print(SweepStats(**{k: v for k, v in stats.items()
+                        if k in fields}).summary())
+    # Runs that never finished (pending/skipped) have a NULL wall time.
+    slowest = sorted(runs, key=lambda r: -(r["sim_wall_s"] or 0.0))
     for run in slowest[:args.top]:
-        src = run.get("outcome") or ("cache" if run.get("cached") else "sim")
-        print(f"  {src:10s} {run.get('sim_wall_s', 0.0):6.2f}s  "
-              f"{run.get('events_processed', 0):>12,} ev  "
-              f"{run.get('label', '?')}")
+        print(f"  {run['outcome']:10s} {run['sim_wall_s'] or 0.0:6.2f}s  "
+              f"{run['events'] or 0:>12,} ev  {run['label']}")
     return 0
 
 
@@ -699,9 +679,6 @@ def _add_sweep_options(p: argparse.ArgumentParser) -> None:
                         "line per run — the non-TTY/CI fallback), 'auto' "
                         "(live on a TTY, plain otherwise).  Bare "
                         "--progress means auto")
-    p.add_argument("--no-telemetry", action="store_true",
-                   help="disable telemetry streaming/history recording "
-                        "(progress falls back to the legacy stderr line)")
     p.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
                    help="kill and retry the worker pool if no run completes "
                         "for this long (default: wait forever)")
@@ -800,13 +777,13 @@ def build_parser() -> argparse.ArgumentParser:
     obs_sub = obs_p.add_subparsers(dest="action", required=True)
 
     oreport_p = obs_sub.add_parser(
-        "report", help="digest of the last sweep's observability report")
+        "report", help="digest of the newest sweep in the run history")
     oreport_p.add_argument("--cache-dir", default=None)
     oreport_p.add_argument("--top", type=int, default=8,
                            help="show the N slowest runs (default: 8)")
     oreport_p.add_argument("--json", action="store_true",
-                           help="print the full machine-readable report "
-                                "instead of the text digest")
+                           help="print the sweep, its stats and its runs "
+                                "as JSON instead of the text digest")
 
     odash_p = obs_sub.add_parser(
         "dashboard", help="self-contained HTML dashboard of a sweep")

@@ -20,9 +20,14 @@ The executor survives an imperfect world:
   **degrades to serial** execution in the parent process;
 * with ``timeout_s`` set, a pool that produces no completion for that
   long is presumed hung: it is killed and the outstanding specs retried;
-* ``KeyboardInterrupt`` flushes completed results, writes the sweep
-  report with ``interrupted: true`` and prints a partial summary before
-  re-raising.
+* ``KeyboardInterrupt`` flushes completed results, closes the sweep as
+  interrupted (the telemetry hub archives it to the run history, which
+  the next sweep reads to count recovered runs) and prints a partial
+  summary before re-raising.
+
+A sweep reports through exactly one channel: the optional
+:class:`~repro.obs.telemetry.hub.TelemetryHub`, which feeds the progress
+view, the JSONL stream and the run history.
 
 Worker count comes from, in order: the ``jobs`` argument, the
 ``$REPRO_JOBS`` environment variable, then ``os.cpu_count()``.
@@ -32,12 +37,13 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import sqlite3
 import sys
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.params import NestParams
 from ..faults import FaultConfig
@@ -228,21 +234,6 @@ class SweepStats:
         }
 
 
-#: Progress callback signature: (done, total, spec, result, cached).
-ProgressFn = Callable[[int, int, RunSpec, RunResult, bool], None]
-
-
-def stderr_progress(done: int, total: int, spec: RunSpec,
-                    result: RunResult, cached: bool) -> None:
-    """The default ``--progress`` live line (one carriage-returned line)."""
-    src = "cache " if cached else f"{result.sim_wall_s:5.2f}s"
-    line = f"\r[{done}/{total}] {src}  {spec.label}"
-    sys.stderr.write(line[:118].ljust(118))
-    if done == total:
-        sys.stderr.write("\n")
-    sys.stderr.flush()
-
-
 def _scalar_metrics(metrics: Dict[str, object]) -> Dict[str, float]:
     """Scalar instruments (counters/gauges) of a serialized registry.
 
@@ -314,7 +305,6 @@ class SweepExecutor:
 
     def __init__(self, jobs: Optional[int] = None,
                  cache: Optional[ResultCache] = None,
-                 progress: Optional[ProgressFn] = None,
                  timeout_s: Optional[float] = None,
                  retries: int = 2,
                  backoff_s: float = 0.05,
@@ -322,7 +312,6 @@ class SweepExecutor:
                  telemetry: Optional[TelemetryHub] = None) -> None:
         self.jobs = jobs if jobs and jobs > 0 else default_jobs()
         self.cache = cache
-        self.progress = progress
         self.timeout_s = timeout_s
         self.retries = max(0, retries)
         self.backoff_s = max(0.0, backoff_s)
@@ -369,8 +358,6 @@ class SweepExecutor:
             if res is None:
                 continue
             self._done += 1
-            if self.progress is not None:
-                self.progress(self._done, n, specs[i], res, True)
             if self.telemetry is not None:
                 outcome = ("checkpoint"
                            if specs[i].label in checkpoint_labels
@@ -551,8 +538,6 @@ class SweepExecutor:
             except OSError:
                 pass   # a read-only cache dir must not kill the sweep
         self._done += 1
-        if self.progress is not None:
-            self.progress(self._done, self._total, specs[i], res, False)
         if self.telemetry is not None:
             outcome = "retried" if i in state.retried else "simulated"
             self.telemetry.run_done(
@@ -564,18 +549,25 @@ class SweepExecutor:
     # ------------------------------------------------------------------
 
     def _checkpoint_labels(self) -> frozenset:
-        """Labels completed by a previous *interrupted* sweep; their cache
-        hits count as recovered-from-checkpoint in this sweep's report."""
-        if self.cache is None:
+        """Labels completed by the previous sweep in the run history, when
+        that sweep was *interrupted*; their cache hits count as
+        recovered-from-checkpoint in this sweep's report.
+
+        Resume itself needs only the cache; this accounting needs the
+        hub's history store, so without one every hit counts as cached.
+        """
+        if self.cache is None or self.telemetry is None \
+                or self.telemetry.history is None:
             return frozenset()
+        history = self.telemetry.history
         try:
-            prev = self.cache.read_report("last-sweep")
-        except Exception:
-            return frozenset()
-        if not prev or not prev.get("interrupted"):
-            return frozenset()
-        return frozenset(r.get("label") for r in prev.get("runs", ())
-                         if r.get("completed"))
+            prev = history.sweeps(limit=1)
+            if not prev or not prev[0]["interrupted"]:
+                return frozenset()
+            runs = history.runs_of(prev[0]["id"])
+        except sqlite3.Error:
+            return frozenset()   # unreadable history: count hits as cached
+        return frozenset(r["label"] for r in runs if r["completed"])
 
     def _finalize(self, specs: List[RunSpec],
                   results: List[Optional[RunResult]], misses: List[int],
@@ -598,10 +590,9 @@ class SweepExecutor:
             degraded=state.degraded,
             interrupted=interrupted,
         )
-        runs = self._run_entries(specs, results, misses, state,
-                                 checkpoint_labels)
-        self._write_report(runs, interrupted)
         if self.telemetry is not None:
+            runs = self._run_entries(specs, results, misses, state,
+                                     checkpoint_labels)
             self.telemetry.close_sweep(self.last_stats.as_dict(), runs,
                                        interrupted=interrupted)
 
@@ -609,7 +600,7 @@ class SweepExecutor:
                      results: List[Optional[RunResult]], misses: List[int],
                      state: _SweepState,
                      checkpoint_labels: frozenset) -> List[dict]:
-        """Per-run report entries (the sweep report and history rows).
+        """Per-run entries: the history rows of this sweep.
 
         Each run records an ``outcome``: ``cached`` / ``checkpoint`` (a hit
         written by a previous interrupted sweep) / ``simulated`` /
@@ -652,16 +643,3 @@ class SweepExecutor:
                 entry["error"] = state.skipped[i]
             runs.append(entry)
         return runs
-
-    def _write_report(self, runs: List[dict], interrupted: bool) -> None:
-        """Persist the sweep's observability report (``repro obs report``)."""
-        if self.cache is None:
-            return
-        try:
-            self.cache.write_report("last-sweep", {
-                "stats": self.last_stats.as_dict(),
-                "interrupted": interrupted,
-                "runs": runs,
-            })
-        except OSError:
-            pass   # a read-only cache dir must not kill the sweep

@@ -54,7 +54,7 @@ def make_policy(name: str, nest_params: Optional[NestParams] = None) -> Selectio
     return make_registered_policy(name, nest_params)
 
 
-def _gc_totals() -> Tuple[int, int]:
+def gc_totals() -> Tuple[int, int]:
     """(collections, objects collected) summed over all GC generations."""
     stats = gc.get_stats()
     return (sum(s.get("collections", 0) for s in stats),
@@ -87,7 +87,7 @@ def _attach_memory_stats(result: RunResult, gc_base: Tuple[int, int],
     """
     from ..obs.telemetry.hub import rss_peak_kb
     result.rss_peak_kb = rss_peak_kb()
-    collections, collected = _gc_totals()
+    collections, collected = gc_totals()
     result.gc_collections = collections - gc_base[0]
     result.gc_collected = collected - gc_base[1]
     if tracing_allocs:
@@ -146,7 +146,7 @@ def run_experiment(
     run.
     """
     wall_start = time.perf_counter()
-    gc_base = _gc_totals()
+    gc_base = gc_totals()
     tracing_allocs = _maybe_start_tracemalloc()
     engine = Engine(seed)
     policy = make_policy(scheduler, nest_params)

@@ -19,15 +19,15 @@ Telemetry is strictly an observer: a sweep with telemetry enabled is
 bit-identical to one without (enforced by ``tests/test_telemetry.py``).
 """
 
-from .hub import (TelemetryHub, WorkerTelemetry, gc_totals, init_worker,
-                  load_stream, rss_peak_kb, worker_telemetry)
+from .hub import (TelemetryHub, WorkerTelemetry, init_worker, load_stream,
+                  rss_peak_kb, worker_telemetry)
 from .records import (RECORD_KINDS, SCHEMA_VERSION, make_record, read_stream,
                       validate_record)
 from .view import LiveView, PlainView, ProgressView, make_view
 
 __all__ = [
     "TelemetryHub", "WorkerTelemetry", "init_worker", "worker_telemetry",
-    "rss_peak_kb", "gc_totals", "load_stream",
+    "rss_peak_kb", "load_stream",
     "RECORD_KINDS", "SCHEMA_VERSION", "make_record", "read_stream",
     "validate_record",
     "LiveView", "PlainView", "ProgressView", "make_view",

@@ -44,7 +44,7 @@ from .records import make_record, read_stream, write_record
 
 __all__ = [
     "TelemetryHub", "WorkerTelemetry", "init_worker", "worker_telemetry",
-    "rss_peak_kb", "gc_totals", "load_stream",
+    "rss_peak_kb", "load_stream",
 ]
 
 try:
@@ -66,14 +66,6 @@ def rss_peak_kb() -> int:
     if sys.platform == "darwin":  # pragma: no cover - reported in bytes
         peak //= 1024
     return int(peak)
-
-
-def gc_totals() -> tuple:
-    """(collections, objects collected) summed over all GC generations."""
-    import gc
-    stats = gc.get_stats()
-    return (sum(s.get("collections", 0) for s in stats),
-            sum(s.get("collected", 0) for s in stats))
 
 
 # ---------------------------------------------------------------------------

@@ -146,7 +146,7 @@ class TestObservabilityCli:
         capsys.readouterr()
         assert main(["obs", "report", "--cache-dir", cache_dir]) == 0
         out = capsys.readouterr().out
-        assert "last sweep: 4 runs" in out
+        assert "sweep: 4 runs (4 simulated, 0 cached)" in out
         assert "cache: 0 hit(s), 4 miss(es)" in out
 
     def test_obs_report_json(self, tmp_path, capsys):
@@ -167,6 +167,57 @@ class TestObservabilityCli:
         assert main(["obs", "report", "--cache-dir", cache_dir,
                      "--json"]) == 0
         assert _json.loads(capsys.readouterr().out) == report
+
+    def test_interrupted_compare_resumes_from_checkpoint(self, tmp_path,
+                                                         capsys,
+                                                         monkeypatch):
+        import json as _json
+
+        from repro.experiments import parallel
+        cache_dir = tmp_path / "cache"
+        args = ["compare", "--workload", "configure-gcc",
+                "--machine", "ryzen_4650g", "--seeds", "1",
+                "--scale", "0.3", "--jobs", "1",
+                "--cache-dir", str(cache_dir)]
+        real_execute = parallel.execute_spec
+        ran = []
+
+        def execute_then_interrupt(spec):
+            if ran:
+                raise KeyboardInterrupt
+            ran.append(spec.label)
+            return real_execute(spec)
+
+        with monkeypatch.context() as m:
+            m.setattr(parallel, "execute_spec", execute_then_interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                main(args)
+        assert "INTERRUPTED" in capsys.readouterr().err
+
+        # The interrupted sweep's pending runs have no wall time; the
+        # report must still render them.
+        assert main(["obs", "report", "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "INTERRUPTED" in out
+        assert "pending      0.00s" in out
+
+        assert main(args) == 0
+        assert "1 recovered from checkpoint" in capsys.readouterr().out
+
+        assert main(["obs", "report", "--cache-dir", str(cache_dir)]) == 0
+        out = capsys.readouterr().out
+        assert "1 recovered from checkpoint" in out
+        assert any(ln.split()[0] == "checkpoint" and ln.endswith(ran[0])
+                   for ln in out.splitlines()[1:])
+        assert main(["obs", "report", "--cache-dir", str(cache_dir),
+                     "--json"]) == 0
+        report = _json.loads(capsys.readouterr().out)
+        outcomes = {r["label"]: r["outcome"] for r in report["runs"]}
+        assert outcomes[ran[0]] == "checkpoint"
+        assert report["stats"]["recovered"] == 1
+        # History is the only sweep record: no JSON report sits beside
+        # the cache shards.
+        assert not list(cache_dir.glob("*.json"))
 
     def test_sweep_summary_shows_cache_counters(self, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
@@ -276,10 +327,9 @@ class TestObservabilityCli:
                      "--top", "2"]) == 0
         out = capsys.readouterr().out
         lines = out.splitlines()
-        assert lines[0].startswith("last sweep: 4 runs")
+        assert lines[0].startswith("sweep: 4 runs")
         assert "worker(s)" in lines[0]
-        assert any("engine events" in ln and "events/s" in ln
-                   for ln in lines)
+        assert "events/s" in lines[0]
         # --top bounds the slowest-runs listing; each row names its run.
         rows = [ln for ln in lines if "configure-gcc" in ln]
         assert len(rows) == 2

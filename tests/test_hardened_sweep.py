@@ -16,6 +16,8 @@ from repro.experiments.cache import (QUARANTINE_DIR, ResultCache,
 from repro.experiments.parallel import (RunSpec, SweepExecutor, SweepFailure,
                                         execute_spec)
 from repro.faults import FaultConfig
+from repro.obs.history import HistoryStore
+from repro.obs.telemetry.hub import TelemetryHub
 
 SPECS = [
     RunSpec(workload="phoronix-libavif-avifenc-1", machine="5218_2s",
@@ -107,48 +109,82 @@ class TestFailureBudget:
 
 
 class TestCheckpointResume:
-    def test_interrupt_flushes_completed_runs(self, tmp_path):
-        cache = ResultCache(tmp_path / "cache")
+    @staticmethod
+    def _interrupt_after_first_run(monkeypatch):
+        """Make the serial round raise KeyboardInterrupt once one spec
+        has run; returns the labels that ran."""
+        from repro.experiments import parallel
         calls = []
 
-        def bomb(done, total, spec, result, cached):
+        def execute_then_interrupt(spec):
+            if calls:
+                raise KeyboardInterrupt
             calls.append(spec.label)
-            raise KeyboardInterrupt
+            return execute_spec(spec)
 
-        ex = SweepExecutor(jobs=1, cache=cache, progress=bomb)
-        with pytest.raises(KeyboardInterrupt):
-            ex.run(SPECS)
-        assert ex.last_stats.interrupted
-        assert len(calls) == 1
-        # The completed run was checkpointed before the interrupt landed
-        # and the report records the sweep as interrupted.
-        report = cache.read_report("last-sweep")
-        assert report["interrupted"] is True
-        completed = [r for r in report["runs"] if r["completed"]]
-        pending = [r for r in report["runs"] if r["outcome"] == "pending"]
-        assert len(completed) == 1
-        assert len(pending) == len(SPECS) - 1
+        monkeypatch.setattr(parallel, "execute_spec", execute_then_interrupt)
+        return calls
 
-    def test_resumed_sweep_recovers_from_checkpoint(self, tmp_path):
+    @staticmethod
+    def _executor(cache, history):
+        return SweepExecutor(jobs=1, cache=cache,
+                             telemetry=TelemetryHub(history=history))
+
+    def test_interrupt_flushes_completed_runs(self, tmp_path, monkeypatch):
         cache = ResultCache(tmp_path / "cache")
+        calls = self._interrupt_after_first_run(monkeypatch)
+        with HistoryStore(tmp_path / "history.sqlite") as history:
+            ex = self._executor(cache, history)
+            with pytest.raises(KeyboardInterrupt):
+                ex.run(SPECS)
+            assert ex.last_stats.interrupted
+            assert len(calls) == 1
+            # The completed run was checkpointed before the interrupt
+            # landed and the history records the sweep as interrupted.
+            assert cache.get_spec(SPECS[0]) is not None
+            sweep = history.resolve("last")
+            assert sweep["interrupted"] == 1
+            runs = history.runs_of(sweep["id"])
+        completed = [r for r in runs if r["completed"]]
+        pending = [r for r in runs if r["outcome"] == "pending"]
+        assert [r["label"] for r in completed] == calls
+        assert len(pending) == len(SPECS) - 1
+        assert all(r["sim_wall_s"] is None for r in pending)
 
-        def bomb(done, total, spec, result, cached):
-            raise KeyboardInterrupt
+    def test_resumed_sweep_recovers_from_checkpoint(self, tmp_path,
+                                                    monkeypatch):
+        cache = ResultCache(tmp_path / "cache")
+        with HistoryStore(tmp_path / "history.sqlite") as history:
+            with monkeypatch.context() as m:
+                self._interrupt_after_first_run(m)
+                with pytest.raises(KeyboardInterrupt):
+                    self._executor(cache, history).run(SPECS)
 
-        with pytest.raises(KeyboardInterrupt):
-            SweepExecutor(jobs=1, cache=cache, progress=bomb).run(SPECS)
+            ex = self._executor(cache, history)
+            results = ex.run(SPECS)
+            assert all(r is not None for r in results)
+            assert ex.last_stats.recovered == 1
+            assert ex.last_stats.cache_hits == 1
+            assert "recovered from checkpoint" in ex.last_stats.summary()
+            sweep = history.resolve("last")
+            assert sweep["interrupted"] == 0
+            outcomes = [r["outcome"] for r in history.runs_of(sweep["id"])]
+        assert outcomes.count("checkpoint") == 1
+        assert outcomes.count("simulated") == 3
 
+    def test_resume_without_history_counts_hits_as_cached(self, tmp_path,
+                                                          monkeypatch):
+        """Resume comes from the cache alone; only the recovered count
+        needs the run history."""
+        cache = ResultCache(tmp_path / "cache")
+        with monkeypatch.context() as m:
+            self._interrupt_after_first_run(m)
+            with pytest.raises(KeyboardInterrupt):
+                SweepExecutor(jobs=1, cache=cache).run(SPECS)
         ex = SweepExecutor(jobs=1, cache=cache)
-        results = ex.run(SPECS)
-        assert all(r is not None for r in results)
-        assert ex.last_stats.recovered == 1
+        assert all(r is not None for r in ex.run(SPECS))
         assert ex.last_stats.cache_hits == 1
-        assert "recovered from checkpoint" in ex.last_stats.summary()
-        report = cache.read_report("last-sweep")
-        assert report["interrupted"] is False
-        outcomes = {r["label"]: r["outcome"] for r in report["runs"]}
-        assert sum(1 for o in outcomes.values() if o == "checkpoint") == 1
-        assert sum(1 for o in outcomes.values() if o == "simulated") == 3
+        assert ex.last_stats.recovered == 0
 
 
 class TestSpecKeys:

@@ -15,9 +15,10 @@ import pytest
 
 from repro.experiments.cache import ResultCache, result_to_jsonable
 from repro.experiments.parallel import RunSpec, SweepExecutor
+from repro.experiments.runner import gc_totals
 from repro.faults import fault_profile
 from repro.obs.telemetry.hub import (TelemetryHub, WorkerTelemetry,
-                                     gc_totals, load_stream, rss_peak_kb,
+                                     load_stream, rss_peak_kb,
                                      worker_telemetry)
 from repro.obs.telemetry.records import (RECORD_KINDS, make_record,
                                          read_stream, validate_record,
