@@ -22,11 +22,11 @@ fuzz:
 bench:
 	$(PYPATH) $(PYTHON) -m pytest benchmarks -q -p no:cacheprovider
 
-## Time the representative configure sweep; PROFILE_ARGS adds flags,
-## e.g. `make profile PROFILE_ARGS="--profile"` for a cProfile breakdown.
+## Time the Fig. 5 configure sweep with per-layer spans; every run's
+## digest is checked, so the last line must report "correct": true.
 profile:
-	$(PYPATH) $(PYTHON) benchmarks/profile_sweep.py --repeat 10 $(PROFILE_ARGS)
+	$(PYTHON) simbench/run.py --workload configure-suite --seed 1 --trace 1
 
 clean:
-	rm -rf .repro-cache .pytest_cache
+	rm -rf .repro-cache .pytest_cache .simbench
 	find . -name __pycache__ -type d -prune -exec rm -rf {} +

@@ -16,8 +16,6 @@ Usage (installed as ``python -m repro`` or the ``nest-repro`` script)::
     python -m repro obs query fig2 --kind place --cpu 3   # event queries
     python -m repro history list         # archived sweeps (sqlite-backed)
     python -m repro history diff last    # regression gate vs previous sweep
-    python -m repro history export-trajectory --record perf.json --pr 7 \
-        --append BENCH_trajectory.json   # generated perf-trajectory entries
     python -m repro describe fig5        # registry entry for an artefact
     python -m repro verify fuzz --runs 200 --seed 1   # invariant fuzzing
     python -m repro verify replay repro.json          # re-run a saved repro
@@ -47,7 +45,7 @@ from ..analysis.tables import pct, render_table
 from ..faults import FAULT_PROFILES, FaultConfig, fault_profile
 from ..hw.machines import ALL_MACHINES, get_machine
 from ..obs.export import events_to_jsonl, text_summary, write_chrome_trace
-from ..obs.history import HistoryStore, append_trajectory, trajectory_entries
+from ..obs.history import HistoryStore
 from ..obs.telemetry.hub import TelemetryHub
 from ..obs.telemetry.view import make_view
 from ..sched.registry import available_policies, iter_policy_infos
@@ -358,15 +356,10 @@ def _cmd_obs_dashboard(args) -> int:
         print(f"no run history at {history} — run a sweep with telemetry "
               f"enabled first", file=sys.stderr)
         return 1
-    trajectory = Path(args.trajectory) if args.trajectory else None
-    if trajectory is None:
-        default = Path("BENCH_trajectory.json")
-        trajectory = default if default.exists() else None
     try:
         html_text = build_dashboard(
             history, sweep_ref=args.sweep,
             stream_dir=history.parent / "telemetry",
-            trajectory_path=trajectory,
             traces_dir=Path(args.traces_dir) if args.traces_dir else None)
     except KeyError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -379,8 +372,6 @@ def _cmd_obs_dashboard(args) -> int:
 
 def _cmd_history(args) -> int:
     path = _history_path(args.cache_dir)
-    if args.action == "export-trajectory":
-        return _cmd_history_export(args)
     if not path.exists():
         print(f"no run history at {path} — run a sweep with telemetry "
               f"enabled first", file=sys.stderr)
@@ -448,26 +439,6 @@ def _cmd_history(args) -> int:
             return 1
         print(diff.render())
         return 1 if diff.has_regressions else 0
-
-
-def _cmd_history_export(args) -> int:
-    """profile_sweep --json record -> BENCH_trajectory.json entries."""
-    import json as _json
-
-    with open(args.record, encoding="utf-8") as fh:
-        record = _json.load(fh)
-    if "wall_s" not in record:
-        print(f"error: {args.record} has no wall_s — not a "
-              f"profile_sweep.py --json record", file=sys.stderr)
-        return 1
-    entries = trajectory_entries(record, pr=args.pr, host=args.host)
-    if args.append:
-        added = append_trajectory(Path(args.append), entries)
-        print(f"trajectory: merged {added} entr"
-              f"{'y' if added == 1 else 'ies'} into {args.append}")
-    else:
-        print(_json.dumps(entries, indent=2))
-    return 0
 
 
 def _compare_combos(schedulers):
@@ -794,10 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: last)")
     odash_p.add_argument("--out", default="dashboard.html", metavar="PATH",
                          help="output HTML path (default: dashboard.html)")
-    odash_p.add_argument("--trajectory", default=None, metavar="PATH",
-                         help="BENCH_trajectory.json for the perf-"
-                              "trajectory sparklines (default: "
-                              "./BENCH_trajectory.json when present)")
     odash_p.add_argument("--traces-dir", default=None, metavar="DIR",
                          help="link Perfetto traces found here")
 
@@ -875,24 +842,8 @@ def build_parser() -> argparse.ArgumentParser:
     hdiff_p.add_argument("--top-moves", type=int, default=3,
                          help="attribution: metrics to rank per run "
                               "(default: 3)")
-    hexp_p = hist_sub.add_parser(
-        "export-trajectory",
-        help="BENCH_trajectory.json entries from a profile_sweep --json "
-             "record")
-    hexp_p.add_argument("--record", required=True, metavar="PATH",
-                        help="benchmark record written by "
-                             "profile_sweep.py --json")
-    hexp_p.add_argument("--pr", type=int, required=True,
-                        help="PR number the measurement belongs to")
-    hexp_p.add_argument("--host", default="dev-container",
-                        help="host tag for the entries "
-                             "(default: dev-container)")
-    hexp_p.add_argument("--append", default=None, metavar="PATH",
-                        help="merge into this trajectory file instead of "
-                             "printing the entries")
     for sp in (hlist_p, hshow_p, hdiff_p):
         sp.add_argument("--cache-dir", default=None)
-    hexp_p.add_argument("--cache-dir", default=None)
     hist_p.set_defaults(fn=_cmd_history)
 
     verify_p = sub.add_parser(

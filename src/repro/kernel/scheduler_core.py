@@ -303,7 +303,6 @@ class Kernel:
         if self.cpu_online[cpu]:
             return
         self.cpu_online[cpu] = True
-        self.policy.on_cpu_online(cpu)
         if self.obs.enabled:
             self.obs.emit(self.engine.now, oev.FAULT_CPU_ONLINE, cpu=cpu)
 

@@ -23,9 +23,8 @@ Sweep-level pieces (see DESIGN.md §8):
   (heartbeats, per-run summaries) over a multiprocessing queue, with a
   crash-safe JSONL stream and live/plain progress views (``--progress``).
 * :mod:`repro.obs.history` — sqlite-backed run-history store behind the
-  ``repro history`` CLI: every completed sweep is recorded, ``history
-  diff`` gates wall-time and metric regressions, ``export-trajectory``
-  generates ``BENCH_trajectory.json`` entries.
+  ``repro history`` CLI: every completed sweep is recorded and ``history
+  diff`` gates wall-time and metric regressions.
 * :mod:`repro.obs.dashboard` — ``repro obs dashboard``: a self-contained
   static HTML rendering of a sweep plus its history (stdlib only, inline
   CSS/SVG, no scripts).

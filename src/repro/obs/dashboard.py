@@ -1,4 +1,4 @@
-"""Self-contained HTML dashboard for sweeps, history and the perf trajectory.
+"""Self-contained HTML dashboard for sweeps and their history.
 
 ``repro obs dashboard`` renders one static HTML file — stdlib only,
 every byte inline (CSS and the few SVG charts are generated here in
@@ -16,8 +16,7 @@ Sections, each fed by one observability layer:
   the sweep's telemetry JSONL stream (``run_start``/``run_end``
   records), with heartbeat ticks;
 * **History sparklines** — wall time and events/s across the archived
-  sweeps, plus engine wall times across ``BENCH_trajectory.json``
-  entries (the PR-over-PR perf trajectory);
+  sweeps;
 * **Trace links** — relative links to Perfetto traces when a trace
   directory is supplied.
 
@@ -359,31 +358,6 @@ def _history_section(store: HistoryStore, limit: int = 30) -> str:
             f'</p>')
 
 
-def _trajectory_section(trajectory_path: Optional[Path]) -> str:
-    if trajectory_path is None or not Path(trajectory_path).exists():
-        return '<p class="muted">no trajectory file</p>'
-    try:
-        doc = json.loads(Path(trajectory_path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return '<p class="muted">trajectory file unreadable</p>'
-    entries = doc.get("entries", [])
-    by_engine: Dict[str, List[tuple]] = {}
-    for e in entries:
-        by_engine.setdefault(e.get("engine", "?"), []).append(
-            (e.get("pr", 0), e.get("wall_s")))
-    parts = []
-    colors = {"ref": "#1971c2", "fast": "#2f9e44", "ref-seed": "#868e96"}
-    for engine in sorted(by_engine):
-        series = sorted(by_engine[engine])
-        walls = [w for _, w in series if w is not None]
-        prs = ", ".join(f"PR{pr}: {w}s" for pr, w in series)
-        parts.append(
-            f'<p><b>{_esc(engine)}</b> wall seconds across PRs: '
-            f'{_sparkline(walls, color=colors.get(engine, "#7048e8"), label=f"{engine} wall trajectory")} '
-            f'<span class="muted">{_esc(prs)}</span></p>')
-    return "".join(parts) or '<p class="muted">no trajectory entries</p>'
-
-
 def _traces_section(traces_dir: Optional[Path]) -> str:
     if traces_dir is None:
         return ""
@@ -405,7 +379,6 @@ def _traces_section(traces_dir: Optional[Path]) -> str:
 def build_dashboard(history_path: Path,
                     sweep_ref: str = "last",
                     stream_dir: Optional[Path] = None,
-                    trajectory_path: Optional[Path] = None,
                     traces_dir: Optional[Path] = None) -> str:
     """The dashboard HTML for one archived sweep (raises KeyError if the
     ref matches nothing)."""
@@ -419,13 +392,11 @@ def build_dashboard(history_path: Path,
         if stream.exists():
             from .telemetry.hub import load_stream
             records = load_stream(stream)
-    return render_dashboard(sweep, runs, records, history_html,
-                            trajectory_path, traces_dir)
+    return render_dashboard(sweep, runs, records, history_html, traces_dir)
 
 
 def render_dashboard(sweep: Dict[str, Any], runs: List[Dict[str, Any]],
                      records: List[Dict[str, Any]], history_html: str,
-                     trajectory_path: Optional[Path] = None,
                      traces_dir: Optional[Path] = None) -> str:
     """Assemble the final single-file HTML from pre-fetched pieces."""
     generated = time.strftime("%Y-%m-%d %H:%M:%S")
@@ -447,8 +418,6 @@ def render_dashboard(sweep: Dict[str, Any], runs: List[Dict[str, Any]],
 {_timeline_svg(records)}
 <h2>History</h2>
 {history_html}
-<h2>Perf trajectory</h2>
-{_trajectory_section(trajectory_path)}
 {_traces_section(traces_dir)}
 <footer>generated {_esc(generated)} by <code>repro obs dashboard</code>
 — self-contained: no external scripts, styles or fonts.</footer>

@@ -17,9 +17,6 @@ On top of the store sit the regression gates:
   tolerance and *any* drift in deterministic outputs (makespan, energy,
   metrics — those must be bit-stable unless ``ENGINE_VERSION`` moved);
   ``repro history diff <ref>`` exits non-zero when a gate fires.
-* :func:`trajectory_entries` converts a ``profile_sweep.py --json``
-  benchmark record into ``BENCH_trajectory.json`` entries, so the perf
-  trajectory is *generated* from measurements instead of hand-written.
 
 Schema versioning: the sqlite ``user_version`` pragma tracks the schema
 generation; :data:`MIGRATIONS` is an ordered list whose *i*-th entry
@@ -39,8 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
-__all__ = ["HistoryStore", "HistoryDiff", "Regression",
-           "trajectory_entries", "append_trajectory", "git_sha"]
+__all__ = ["HistoryStore", "HistoryDiff", "Regression", "git_sha"]
 
 
 def git_sha() -> str:
@@ -383,51 +379,3 @@ class HistoryStore:
                     "metric", label, f"{name}: {b} -> {a} "
                     f"(drift {drift:.2%}, tolerance {tol:.2%})"))
 
-
-# ---------------------------------------------------------------------------
-# BENCH_trajectory.json generation
-# ---------------------------------------------------------------------------
-
-def trajectory_entries(record: Dict[str, Any], pr: int,
-                       host: str = "dev-container") -> List[Dict[str, Any]]:
-    """``BENCH_trajectory.json`` entries from a ``--json`` benchmark record.
-
-    ``profile_sweep.py --json`` times the reference engine, so the record
-    yields one ``ref`` entry — the schema the file's hand-written entries
-    follow, generated from the measurement itself: ``repro history
-    export-trajectory --record perf.json --pr N --append
-    BENCH_trajectory.json``.
-    """
-    return [{
-        "pr": pr,
-        "git_sha": record.get("git_sha", "unknown"),
-        "engine": "ref",
-        "workload": record.get("workload", "unknown"),
-        "wall_s": record["wall_s"],
-        "host": host,
-    }]
-
-
-def append_trajectory(path: Path, entries: List[Dict[str, Any]]) -> int:
-    """Merge entries into the trajectory file; returns how many were added.
-
-    Idempotent per (pr, engine, git_sha): re-exporting the same
-    measurement replaces the previous entry instead of duplicating it.
-    """
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    existing = doc.setdefault("entries", [])
-    added = 0
-    for entry in entries:
-        key = (entry["pr"], entry["engine"], entry["git_sha"])
-        existing[:] = [e for e in existing
-                       if (e.get("pr"), e.get("engine"),
-                           e.get("git_sha")) != key]
-        existing.append(entry)
-        added += 1
-    existing.sort(key=lambda e: (e.get("pr", 0), e.get("engine", "")))
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    return added

@@ -122,10 +122,8 @@ class SelectionPolicy:
         """``cpu`` was hotplugged out (faults/): drop any per-cpu state.
 
         The kernel has already drained the cpu's runqueue when this fires;
-        policies must stop proposing the cpu until :meth:`on_cpu_online`."""
-
-    def on_cpu_online(self, cpu: int) -> None:
-        """``cpu`` came back online after a hotplug fault."""
+        policies must not propose the cpu while ``kernel.cpu_online[cpu]``
+        is false."""
 
     def select_cpu_offline_migration(self, task: "Task",
                                      offline_cpu: int) -> Optional[int]:

@@ -81,8 +81,7 @@ class TestBuildDashboard:
     def test_well_formed_and_self_contained(self, swept):
         html_text = build_dashboard(
             swept / "cache" / "history.sqlite", "last-1",
-            stream_dir=swept / "cache" / "telemetry",
-            trajectory_path="BENCH_trajectory.json")
+            stream_dir=swept / "cache" / "telemetry")
         assert_well_formed(html_text)
         assert_self_contained(html_text)
 
@@ -110,12 +109,6 @@ class TestBuildDashboard:
         html_text = build_dashboard(swept / "cache" / "history.sqlite")
         assert "sweep wall time" in html_text
         assert "<svg" in html_text
-
-    def test_trajectory_section_reads_bench_file(self, swept):
-        html_text = build_dashboard(swept / "cache" / "history.sqlite",
-                                    trajectory_path="BENCH_trajectory.json")
-        assert "Perf trajectory" in html_text
-        assert "PR1" in html_text or "PR6" in html_text
 
     def test_analysis_panel_renders_derived_metrics(self, swept):
         html_text = build_dashboard(swept / "cache" / "history.sqlite",
@@ -168,8 +161,7 @@ class TestCliDashboard:
         out = tmp_path / "dash.html"
         assert main(["obs", "dashboard",
                      "--cache-dir", str(swept / "cache"),
-                     "--out", str(out),
-                     "--trajectory", "BENCH_trajectory.json"]) == 0
+                     "--out", str(out)]) == 0
         assert "dashboard:" in capsys.readouterr().out
         html_text = out.read_text(encoding="utf-8")
         assert_well_formed(html_text)

@@ -1,4 +1,4 @@
-"""Run-history store: sqlite persistence, regression gates, trajectory.
+"""Run-history store: sqlite persistence and regression gates.
 
 Includes the PR's acceptance gate: ``repro history diff`` must detect an
 artificially slowed run and exit non-zero.
@@ -6,7 +6,6 @@ artificially slowed run and exit non-zero.
 
 from __future__ import annotations
 
-import json
 import sqlite3
 
 import pytest
@@ -14,8 +13,7 @@ import pytest
 from repro.experiments.cache import ResultCache
 from repro.experiments.cli import main
 from repro.experiments.parallel import RunSpec, SweepExecutor
-from repro.obs.history import (HistoryStore, SCHEMA_VERSION,
-                               append_trajectory, trajectory_entries)
+from repro.obs.history import HistoryStore, SCHEMA_VERSION
 from repro.obs.telemetry.hub import TelemetryHub
 
 STATS = {"n_specs": 2, "simulated": 2, "cache_hits": 0, "wall_s": 2.0,
@@ -226,68 +224,6 @@ class TestExecutorIntegration:
             SweepExecutor(jobs=2, cache=cache, telemetry=hub2).run(specs)
             diff = hist.diff("last", "last-1")
             assert not diff.has_regressions, diff.render()
-
-
-TRAJ_RECORD = {
-    "workload": "configure x combos",
-    "git_sha": "abc1234",
-    "n_simulations": 4,
-    "repeat": 1,
-    "wall_s": 2.0,
-    "events_per_sec": 100.0,
-}
-
-
-class TestTrajectoryExport:
-    def test_entries_match_the_trajectory_schema(self):
-        entries = trajectory_entries(TRAJ_RECORD, pr=7, host="ci")
-        assert entries == [{"pr": 7, "git_sha": "abc1234", "engine": "ref",
-                            "workload": "configure x combos",
-                            "wall_s": 2.0, "host": "ci"}]
-
-    def test_append_is_idempotent_per_measurement(self, tmp_path):
-        path = tmp_path / "traj.json"
-        path.write_text(json.dumps({"entries": []}))
-        entries = trajectory_entries(TRAJ_RECORD, pr=7)
-        assert append_trajectory(path, entries) == 1
-        assert append_trajectory(path, entries) == 1   # replace, not dup
-        doc = json.loads(path.read_text())
-        assert [e["engine"] for e in doc["entries"]] == ["ref"]
-
-    def test_real_trajectory_file_roundtrips(self, tmp_path):
-        import shutil
-        src = "BENCH_trajectory.json"
-        dst = tmp_path / "traj.json"
-        shutil.copy(src, dst)
-        before = json.loads(dst.read_text())["entries"]
-        append_trajectory(dst, trajectory_entries(TRAJ_RECORD, pr=99))
-        after = json.loads(dst.read_text())["entries"]
-        assert len(after) == len(before) + 1
-        # The pre-existing hand-written entries are untouched.
-        for entry in before:
-            assert entry in after
-
-    def test_cli_export_appends(self, tmp_path, capsys):
-        record_path = tmp_path / "perf.json"
-        record_path.write_text(json.dumps(TRAJ_RECORD))
-        traj = tmp_path / "traj.json"
-        traj.write_text(json.dumps({"entries": []}))
-        assert main(["history", "export-trajectory",
-                     "--record", str(record_path), "--pr", "7",
-                     "--host", "ci", "--append", str(traj)]) == 0
-        assert "merged 1 entry" in capsys.readouterr().out
-        doc = json.loads(traj.read_text())
-        assert {e["host"] for e in doc["entries"]} == {"ci"}
-
-    def test_cli_export_refuses_a_record_without_wall_time(self, tmp_path,
-                                                           capsys):
-        old = {"workload": "configure x combos", "git_sha": "abc1234",
-               "engines": {"ref": {"wall_s": 2.0}}}
-        record_path = tmp_path / "perf.json"
-        record_path.write_text(json.dumps(old))
-        assert main(["history", "export-trajectory",
-                     "--record", str(record_path), "--pr", "7"]) == 1
-        assert "wall_s" in capsys.readouterr().err
 
 
 class TestDerivedMetricGate:

@@ -58,7 +58,7 @@ def test_every_builtin_has_complete_metadata():
     # The policy-author surface: growing it is a reviewed diff here.
     assert [f.name for f in dataclasses.fields(PolicyInfo)] == [
         "name", "factory", "description", "invariant_groups",
-        "uses_nest_params", "default_params", "fuzz_weight"]
+        "uses_nest_params", "fuzz_weight"]
     for info in iter_policy_infos():
         assert info.description, info.name
         assert info.fuzz_weight >= 1, (
