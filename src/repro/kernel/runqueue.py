@@ -131,8 +131,9 @@ class RunQueue:
         """Recent-load signal used by CFS fork placement: how busy this CPU
         has been, plus the decaying load of recently blocked tasks.
 
-        This is :meth:`PeltAvg.peek` inlined twice — placement scans call it
-        for every candidate cpu and the method-call overhead dominated.
+        This is :meth:`PeltAvg.peek` inlined twice.  The CFS fork walk is
+        its main caller; it reads a cpu's load only where the load can
+        decide the placement (tied groups, idle or equally busy cpus).
         """
         busy = self.busy_avg
         v = busy.value

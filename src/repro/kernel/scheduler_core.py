@@ -130,6 +130,7 @@ class Kernel:
         self.pc_of = tuple(self.topology.physical_core_of(c) for c in range(n))
         self.smt_siblings_of = tuple(self.topology.smt_siblings(c)
                                      for c in range(n))
+        self.die_of = tuple(self.topology.die_of(c) for c in range(n))
 
         self.tracer = tracer or Tracer(n)
         self.energy = energy or EnergyMeter(self.topology)
@@ -759,7 +760,7 @@ class Kernel:
                 return "blocked"
 
             if isinstance(action, WaitChildren):
-                if task.live_children:
+                if task.n_live_children:
                     self._block(task, BlockReason.CHILDREN)
                     return "blocked"
                 continue
@@ -847,13 +848,15 @@ class Kernel:
         task.state = TaskState.EXITED
         task.exited_us = self.engine.now
         self.n_live -= 1
+        parent = task.parent
+        if parent is not None:
+            parent.n_live_children -= 1
         if task.deadline_us is not None and not task.rt_killed:
             self._rt_on_exit(task)
 
-        parent = task.parent
         if parent is not None and parent.state is TaskState.BLOCKED:
             if (parent.block_reason is BlockReason.CHILDREN
-                    and not parent.live_children):
+                    and not parent.n_live_children):
                 self._place_wakeup(parent, cpu if cpu is not None else 0)
         waiter = task.waited_by
         if waiter is not None and waiter.state is TaskState.BLOCKED \

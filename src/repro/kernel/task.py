@@ -35,7 +35,7 @@ class Task:
     """
 
     __slots__ = (
-        "tid", "name", "generator", "parent", "children",
+        "tid", "name", "generator", "parent", "children", "n_live_children",
         "state", "block_reason", "cpu", "prev_cpu", "core_history",
         "impatience", "remaining_cycles", "vruntime", "pelt",
         "run_start_us", "run_freq_mhz", "last_ran_us", "enqueued_us",
@@ -60,8 +60,11 @@ class Task:
         self.generator = generator
         self.parent = parent
         self.children: Set["Task"] = set()
+        #: Children not yet EXITED; the kernel decrements it when one exits.
+        self.n_live_children = 0
         if parent is not None:
             parent.children.add(self)
+            parent.n_live_children += 1
 
         self.state = TaskState.NEW
         self.block_reason = BlockReason.NONE
@@ -135,10 +138,6 @@ class Task:
     @property
     def alive(self) -> bool:
         return self.state is not TaskState.EXITED
-
-    @property
-    def live_children(self) -> List["Task"]:
-        return [c for c in self.children if c.alive]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Task({self.tid}:{self.name} {self.state.value} cpu={self.cpu})"

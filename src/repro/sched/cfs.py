@@ -69,57 +69,80 @@ class CfsPolicy(SelectionPolicy):
                            current_cpu: int) -> Tuple[int, ...]:
         """Linux v5.9 semantics: the local group (the one containing the
         forking cpu) wins unless another group has strictly more idle cpus;
-        among the others, more idle cpus then less quantized load."""
+        among the others, more idle cpus then less quantized load.
+
+        Loads are read only where they decide: the counts settle most walks
+        (the local group holds its own, or one group alone has the best
+        (idle, running) pair), and only groups tied on both are summed.
+        """
         kernel = self.kernel
-        now = kernel.engine.now
         rqs = kernel.rqs
         cpus = kernel.cpus
         online = kernel.cpu_online
         local = None
-        best = None
-        best_key = None
+        best_idle = -1
+        best_running = 0
+        tied = []           # groups sharing the best (idle, running), in order
         for group in groups:
             if current_cpu in group:
                 local = group
                 continue
-            # One pass per group gathers the idle count, the queued+running
-            # count and the summed load (three separate sweeps before).
             idle_cpus = 0
             running = 0
-            load = 0.0
             n_online = 0
             for c in group:
                 if not online[c]:
                     continue
                 n_online += 1
-                rq = rqs[c]
-                q = rq.nr_queued
+                q = rqs[c].nr_queued
                 if cpus[c].current is None:
                     if q == 0:
                         idle_cpus += 1
                     running += q
                 else:
                     running += q + 1
-                load += rq.load_avg(now)
             if n_online == 0:
                 continue    # hotplugged-out group: not a placement target
-            key = (-idle_cpus, running, _qload(load))
-            if best_key is None or key < best_key:
-                best, best_key = group, key
-        if local is None:
-            return best
-        if best is None:
+            if idle_cpus > best_idle or (idle_cpus == best_idle
+                                         and running < best_running):
+                best_idle, best_running = idle_cpus, running
+                tied = [group]
+            elif idle_cpus == best_idle and running == best_running:
+                tied.append(group)
+        if not tied:
             return local
-        local_idle = sum(1 for c in local
-                         if online[c] and cpus[c].current is None
-                         and rqs[c].nr_queued == 0)
-        if local_idle >= -best_key[0]:
-            return local
+        if local is not None:
+            local_idle = sum(1 for c in local
+                             if online[c] and cpus[c].current is None
+                             and rqs[c].nr_queued == 0)
+            if local_idle >= best_idle:
+                return local
+        if len(tied) == 1:
+            return tied[0]
+        # Break the tie on summed recent load; the first strictly smaller
+        # quantized load wins, so group order still decides equal ones.
+        now = kernel.engine.now
+        best = None
+        best_q = 0
+        for group in tied:
+            load = 0.0
+            for c in group:
+                if online[c]:
+                    load += rqs[c].load_avg(now)
+            q = _qload(load)
+            if best is None or q < best_q:
+                best, best_q = group, q
         return best
 
     def _find_idlest_cpu(self, group: Tuple[int, ...], from_cpu: int) -> int:
         """Least-loaded cpu of the group, scanned in numerical order modulo
-        the group, starting from the forking cpu's position."""
+        the group, starting from the forking cpu's position.
+
+        The choice is the smallest (busy, nr_running, quantized load, rank)
+        key; a load is read only when the cpu can still win on it, and the
+        scan stops at an idle cpu with no quantized load, which no later
+        rank can beat.
+        """
         kernel = self.kernel
         now = kernel.engine.now
         rqs = kernel.rqs
@@ -127,8 +150,10 @@ class CfsPolicy(SelectionPolicy):
         online = kernel.cpu_online
         check_pending = self.check_pending_default
         best = None
-        best_key = None
-        for rank, c in enumerate(_rotate(group, from_cpu)):
+        best_idle = False
+        best_nr = 0
+        best_q = 0
+        for c in _rotate(group, from_cpu):
             if not online[c]:
                 continue
             rq = rqs[c]
@@ -139,12 +164,20 @@ class CfsPolicy(SelectionPolicy):
                 # Idle cpus compete on recent load: CFS prefers the one
                 # idle longest (smallest decayed load, quantized so that
                 # fully-decayed cores tie and scan order decides).
-                key = (0, 0, _qload(rq.load_avg(now)), rank)
-            else:
-                key = (1, q + (1 if busy else 0),
-                       _qload(rq.load_avg(now)), rank)
-            if best_key is None or key < best_key:
-                best, best_key = c, key
+                load_q = _qload(rq.load_avg(now))
+                if not best_idle or load_q < best_q:
+                    best, best_idle, best_q = c, True, load_q
+                    if load_q == 0:
+                        break
+                continue
+            if best_idle:
+                continue
+            nr = q + (1 if busy else 0)
+            if best is not None and nr > best_nr:
+                continue
+            load_q = _qload(rq.load_avg(now))
+            if best is None or nr < best_nr or load_q < best_q:
+                best, best_nr, best_q = c, nr, load_q
         if best is None:
             # Every cpu of the group went offline mid-walk: fall back to
             # the machine-wide least loaded online cpu.
@@ -182,10 +215,9 @@ class CfsPolicy(SelectionPolicy):
             return prev
         if prev == waker:
             return prev
-        topo = kernel.topology
         now = kernel.engine.now
-        if kernel.cpu_is_idle(waker) \
-                and topo.die_of(prev) == topo.die_of(waker):
+        die_of = kernel.die_of
+        if kernel.cpu_is_idle(waker) and die_of[prev] == die_of[waker]:
             return prev if kernel.cpu_is_idle(prev) else waker
         this_load = kernel.rqs[waker].load_avg(now) + task.util_est
         prev_load = kernel.rqs[prev].load_avg(now)
@@ -219,10 +251,11 @@ class CfsPolicy(SelectionPolicy):
             # local one — this is what lets a Nest burst scatter across the
             # machine instead of doubling up on hyperthreads (the paper's
             # rodinia observation).
+            target_die = kernel.die_of[target]
             other_spans = [tuple(topo.cpus_in_socket(s))
                            for s in _rotate(tuple(range(topo.n_sockets)),
-                                            topo.die_of(target) + 1)
-                           if s != topo.die_of(target)]
+                                            target_die + 1)
+                           if s != target_die]
             cpu = self._search_idle_core(die, target, check_pending)
             if cpu is not None:
                 return cpu
@@ -240,7 +273,7 @@ class CfsPolicy(SelectionPolicy):
                 if cpu is not None:
                     return cpu
 
-        sib = topo.sibling_of(target)
+        sib = kernel.sibling_of[target]
         if sib != target and self._usable_idle(sib, check_pending):
             return sib
         if not kernel.cpu_online[target]:

@@ -391,10 +391,10 @@ class ScxNestPolicy(SelectionPolicy):
         masks = self._masks
         if not masks.primary:
             return None, 0
-        topo = self.kernel.topology
-        start_die = topo.die_of(start)
-        same_die = [c for c in masks.primary if topo.die_of(c) == start_die]
-        other = [c for c in masks.primary if topo.die_of(c) != start_die]
+        die_of = self.kernel.die_of
+        start_die = die_of[start]
+        same_die = [c for c in masks.primary if die_of[c] == start_die]
+        other = [c for c in masks.primary if die_of[c] != start_die]
         prefer = []
         if not is_fork and task.prev_cpu is not None \
                 and task.prev_cpu in masks.primary:
@@ -412,10 +412,10 @@ class ScxNestPolicy(SelectionPolicy):
         masks = self._masks
         if not masks.reserve:
             return None, 0
-        topo = self.kernel.topology
-        start_die = topo.die_of(start)
-        same_die = [c for c in masks.reserve if topo.die_of(c) == start_die]
-        other = [c for c in masks.reserve if topo.die_of(c) != start_die]
+        die_of = self.kernel.die_of
+        start_die = die_of[start]
+        same_die = [c for c in masks.reserve if die_of[c] == start_die]
+        other = [c for c in masks.reserve if die_of[c] != start_die]
         examined = 0
         for cpu in list(_rotate(tuple(same_die), start)) \
                 + list(_rotate(tuple(other), start)):

@@ -201,6 +201,87 @@ class TestForkAndWait:
         assert next(iter(p.children)).parent is p
 
 
+class TestLiveChildCounter:
+    """``Task.n_live_children`` counts children not yet EXITED."""
+
+    def test_out_of_order_exits_wake_parent_after_the_last(self):
+        eng, kern = make_kernel(BIG)
+        seen = {}
+
+        def child(api, ms):
+            yield Compute(ms_of_work(ms))
+            seen.setdefault("exits", []).append((ms, api.now))
+
+        def parent(api):
+            me = api.task
+            for ms in (3.0, 1.0, 2.0):
+                yield Compute(us_of_work(20))   # no fork collisions
+                yield Fork(child, args=(ms,))
+            seen["forked"] = me.n_live_children
+            yield WaitChildren()
+            seen["woke"] = api.now
+            seen["after"] = me.n_live_children
+
+        p = kern.spawn(parent, "p")
+        kern.run_until_idle()
+        assert seen["forked"] == 3
+        assert [ms for ms, _ in seen["exits"]] == [1.0, 2.0, 3.0]
+        assert seen["woke"] >= seen["exits"][-1][1]
+        assert seen["after"] == 0
+        assert p.n_live_children == 0
+
+    def test_parent_without_children(self):
+        eng, kern = make_kernel()
+
+        def parent(api):
+            yield WaitChildren()
+
+        p = kern.spawn(parent, "p")
+        kern.run_until_idle()
+        assert p.state is TaskState.EXITED
+        assert p.n_live_children == 0
+
+    def test_grandchild_exit_leaves_grandparent_count(self):
+        eng, kern = make_kernel()
+        seen = {}
+
+        def grandchild(api):
+            yield Compute(us_of_work(10))
+
+        def child(api):
+            yield Fork(grandchild)
+            yield WaitChildren()
+            seen["child"] = api.task.n_live_children
+            seen["grandparent"] = api.task.parent.n_live_children
+            yield Compute(us_of_work(10))
+
+        def grandparent(api):
+            yield Fork(child)
+            yield WaitChildren()
+
+        g = kern.spawn(grandparent, "g")
+        kern.run_until_idle()
+        assert seen == {"child": 0, "grandparent": 1}
+        assert g.n_live_children == 0
+
+    def test_parent_exits_before_its_children(self):
+        eng, kern = make_kernel()
+        kids = []
+
+        def child(api):
+            yield Compute(ms_of_work(1.0))
+
+        def parent(api):
+            kids.append((yield Fork(child)))
+            kids.append((yield Fork(child)))
+
+        p = kern.spawn(parent, "p")
+        kern.run_until_idle()
+        assert p.exited_us < min(k.exited_us for k in kids)
+        assert p.n_live_children == 0
+        assert kern.n_live == 0
+
+
 class TestChannels:
     def test_send_recv_roundtrip(self):
         eng, kern = make_kernel()

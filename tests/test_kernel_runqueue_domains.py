@@ -3,10 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.governors.performance import PerformanceGovernor
+from repro.hw.machines import ALL_MACHINES, XEON_5218_2S
 from repro.hw.topology import Topology
-from repro.kernel.domains import DomainHierarchy
+from repro.kernel.domains import Domain, DomainHierarchy
 from repro.kernel.runqueue import RunQueue, SLEEPER_BONUS_US
+from repro.kernel.scheduler_core import Kernel
 from repro.kernel.task import Task
+from repro.sched.cfs import CfsPolicy
+from repro.sim.engine import Engine
 
 
 def mk_task(tid, vruntime=0.0):
@@ -154,3 +159,77 @@ class TestDomains:
                 for dom in h.domains_of(cpu):
                     assert sorted(sum(dom.groups, ())) == sorted(dom.span)
                     assert cpu in dom.span
+
+
+def old_domain_stacks(topo):
+    """Verbatim copy of the earlier per-hierarchy build: a fresh list of
+    Domains per cpu, recomputing each socket's MC groups for every cpu."""
+    socket_spans = {s: tuple(sorted(topo.cpus_in_socket(s)))
+                    for s in topo.sockets()}
+    machine_span = tuple(range(topo.n_cpus))
+    per_cpu = {}
+    for cpu in range(topo.n_cpus):
+        stack = []
+        level = 0
+        if topo.smt == 2:
+            smt_span = tuple(sorted(topo.smt_siblings(cpu)))
+            stack.append(Domain(
+                name="SMT", level=level, span=smt_span,
+                groups=tuple((c,) for c in smt_span)))
+            level += 1
+        socket = topo.socket_of(cpu)
+        mc_span = socket_spans[socket]
+        if topo.smt == 2:
+            mc_groups = tuple(
+                tuple(sorted(topo.smt_siblings(c)))
+                for c in mc_span if topo.thread_of(c) == 0)
+        else:
+            mc_groups = tuple((c,) for c in mc_span)
+        stack.append(Domain(
+            name="MC", level=level, span=mc_span, groups=mc_groups))
+        level += 1
+        if topo.n_sockets > 1:
+            numa_groups = tuple(socket_spans[s] for s in topo.sockets())
+            stack.append(Domain(
+                name="NUMA", level=level, span=machine_span,
+                groups=numa_groups))
+        per_cpu[cpu] = stack
+    return per_cpu
+
+
+MODELLED = sorted(ALL_MACHINES.items())
+
+
+class TestSharedDomainStacks:
+    """Stacks are built once per topology and shared as tuples."""
+
+    @pytest.mark.parametrize("key,machine", MODELLED)
+    def test_stacks_match_per_cpu_build(self, key, machine):
+        topo = machine.topology
+        h = DomainHierarchy(topo)
+        old = old_domain_stacks(topo)
+        for cpu in topo.all_cpus():
+            assert isinstance(h.domains_of(cpu), tuple)
+            assert h.domains_of(cpu) == tuple(old[cpu])
+
+    @pytest.mark.parametrize("key,machine", MODELLED)
+    def test_die_span_is_the_mc_span(self, key, machine):
+        h = DomainHierarchy(machine.topology)
+        for cpu in machine.topology.all_cpus():
+            assert h.die_span(cpu) == h.llc_domain(cpu).span
+
+    def test_kernels_on_one_machine_share_stacks(self):
+        kernels = [Kernel(Engine(0), XEON_5218_2S, CfsPolicy(),
+                          PerformanceGovernor()) for _ in range(2)]
+        a, b = (k.domains for k in kernels)
+        assert a is not b
+        for cpu in (0, 17, 63):
+            assert a.domains_of(cpu) is b.domains_of(cpu)
+            assert a.die_span(cpu) is b.die_span(cpu)
+
+    def test_equal_topologies_share_stacks(self):
+        a = DomainHierarchy(Topology(2, 4, 2))
+        b = DomainHierarchy(Topology(2, 4, 2))
+        assert a.domains_of(5) is b.domains_of(5)
+        assert DomainHierarchy(Topology(4, 2, 2)).domains_of(5) \
+            != a.domains_of(5)
