@@ -161,34 +161,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_trace(args) -> int:
-    spec = None
     try:
-        spec = reference_spec(get_experiment(args.experiment),
-                              seed=args.seed, scale=args.scale,
-                              machine=args.machine)
-        if spec is None:
-            print(f"error: {args.experiment} has no traceable workload "
-                  f"(pure table entry)", file=sys.stderr)
-            return 2
-    except KeyError:
-        # Not a registry id — fall back to treating it as a workload name.
-        from .parallel import RunSpec
-        make_workload(args.experiment)   # raises KeyError on bad names
-        spec = RunSpec(workload=args.experiment,
-                       machine=args.machine or "5218_2s",
-                       scheduler="nest", governor="schedutil",
-                       seed=args.seed, scale=args.scale, record_trace=True)
-
-    wl = make_workload(spec.workload, scale=spec.scale)
-    machine = get_machine(spec.machine)
-    res = run_experiment(wl, machine, spec.scheduler, spec.governor,
-                         seed=spec.seed, record_trace=True,
-                         collect_events=True)
+        res, events, segments, n_cpus = _analysis_events(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(res.brief())
-    print(text_summary(res.trace_segments, res.events, res.metrics))
+    print(text_summary(segments, events, res.metrics))
     if args.out:
-        write_chrome_trace(args.out, res.trace_segments, res.events,
-                           n_cpus=machine.n_cpus,
+        write_chrome_trace(args.out, segments, events, n_cpus=n_cpus,
                            label=f"{res.workload} "
                                  f"{res.scheduler}-{res.governor}")
         print(f"trace: {args.out} (open at ui.perfetto.dev)")
@@ -233,11 +214,12 @@ def _cmd_obs(args) -> int:
 
 
 def _analysis_events(args):
-    """The (result, events, segments, n_cpus) an analyze/query works on.
+    """The (result, events, segments, n_cpus) a trace/analyze/query works on.
 
     ``--events FILE`` analyzes a JSONL dump; otherwise the experiment's
-    reference run (or a bare workload name, like ``repro trace``) is
-    simulated with event collection on.
+    reference run (or a bare workload name's nest/schedutil run) is
+    simulated with event collection on.  A pure table entry raises
+    ``ValueError``; an unknown name raises ``KeyError``.
     """
     from ..obs.export import events_from_jsonl
 

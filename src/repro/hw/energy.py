@@ -99,16 +99,15 @@ class EnergyMeter:
         v_slope = p.v_slope
         active = self._core_active
         core_mhz = self._core_mhz
-        cps = self.topology.cores_per_socket
         total = 0.0
-        for base in range(0, self.topology.n_sockets * cps, cps):
+        for pcs in self.topology.pcs_of_socket:
             total += uncore
             vmax_mhz = 0
-            for pc in range(base, base + cps):
+            for pc in pcs:
                 if active[pc] and core_mhz[pc] > vmax_mhz:
                     vmax_mhz = core_mhz[pc]
             v = v0 + v_slope * (vmax_mhz / 1000.0)
-            for pc in range(base, base + cps):
+            for pc in pcs:
                 if active[pc]:
                     total += static + c_dyn * (core_mhz[pc] / 1000.0) * v * v
                 else:

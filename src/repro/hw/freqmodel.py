@@ -175,16 +175,13 @@ class FreqModel:
         self._socket_active = [0] * topology.n_sockets
         self._thread_state: List[tuple[bool, bool]] = \
             [(False, False)] * topology.n_cpus
-        # Memoized lookups for the hot re-pricing paths: topology maps are
-        # immutable per machine and the turbo table is a pure function of
-        # the active-core count, so flatten them once.
+        # Lookups for the hot re-pricing paths: the topology's own tables,
+        # and the turbo table flattened once (it is a pure function of the
+        # active-core count).
         self._min_mhz = turbo.min_mhz
-        self._pc_of = tuple(topology.physical_core_of(c)
-                            for c in range(topology.n_cpus))
-        self._socket_of_pc = tuple(pc // topology.cores_per_socket
-                                   for pc in range(topology.n_physical_cores))
-        self._siblings_of_pc = tuple(topology.smt_siblings(pc)
-                                     for pc in range(topology.n_physical_cores))
+        self._pc_of = topology.pc_of_cpu
+        self._socket_of_pc = topology.socket_of_pc
+        self._siblings_of_pc = topology.threads_of_pc
         self._ceiling_by_active = tuple(
             turbo.ceiling(k) for k in range(topology.cores_per_socket + 1))
         if pm.presustain_cap == "allcore":
@@ -389,11 +386,9 @@ class FreqModel:
         sweep from O(cores) target computations into O(non-settled cores),
         the "batched re-pricing" fast path.
         """
-        cps = self.topology.cores_per_socket
-        base = socket * cps
         cores = self._cores
         min_mhz = self._min_mhz
-        for pc in range(base, base + cps):
+        for pc in self.topology.pcs_of_socket[socket]:
             st = cores[pc]
             if (st.active_threads == 0 and st.spinning_threads == 0
                     and st.step_event is None and st.mhz == min_mhz):

@@ -43,69 +43,44 @@ class DomainHierarchy:
 
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
-        self._per_cpu, self._die_span = _build(topology)
+        self._per_cpu = _build(topology)
 
     def domains_of(self, cpu: int) -> Tuple[Domain, ...]:
         """Domain stack for ``cpu``, lowest level first."""
         return self._per_cpu[cpu]
 
-    def top_domain(self, cpu: int) -> Domain:
-        return self._per_cpu[cpu][-1]
-
-    def llc_domain(self, cpu: int) -> Domain:
-        """The die-level (last-level-cache) domain of ``cpu``."""
-        for dom in self._per_cpu[cpu]:
-            if dom.name == "MC":
-                return dom
-        raise RuntimeError("no MC domain")  # pragma: no cover
-
-    def die_span(self, cpu: int) -> Tuple[int, ...]:
-        """The CPUs sharing ``cpu``'s last-level cache (its MC span)."""
-        return self._die_span[cpu]
-
 
 @lru_cache(maxsize=64)
-def _build(topo: Topology) -> Tuple[Stacks, Tuple[Tuple[int, ...], ...]]:
-    """The per-cpu stacks and die spans of ``topo``.
+def _build(topo: Topology) -> Stacks:
+    """The per-cpu stacks of ``topo``.
 
     Memoized: a sweep builds a kernel per run on a handful of machines.
+    The MC span of a cpu is the topology's own die-span tuple.
     """
     smt = topo.smt == 2
-    machine_span = tuple(range(topo.n_cpus))
-    socket_spans = tuple(tuple(sorted(topo.cpus_in_socket(s)))
-                         for s in topo.sockets())
     smt_domains = {}        # physical core -> its SMT domain
     mc_domains = []         # socket -> its MC domain, built once
-    for span in socket_spans:
+    for span, pcs in zip(topo.cpus_of_socket, topo.pcs_of_socket):
+        groups = tuple(topo.threads_of_pc[pc] for pc in pcs)
         if smt:
-            groups = []
-            for c in span:
-                if topo.thread_of(c) == 0:
-                    sibs = tuple(sorted(topo.smt_siblings(c)))
-                    groups.append(sibs)
-                    smt_domains[topo.physical_core_of(c)] = Domain(
-                        name="SMT", level=0, span=sibs,
-                        groups=tuple((s,) for s in sibs))
-            mc_groups = tuple(groups)
-        else:
-            mc_groups = tuple((c,) for c in span)
+            for pc, sibs in zip(pcs, groups):
+                smt_domains[pc] = Domain(name="SMT", level=0, span=sibs,
+                                         groups=tuple((s,) for s in sibs))
         mc_domains.append(Domain(name="MC", level=1 if smt else 0,
-                                 span=span, groups=mc_groups))
+                                 span=span, groups=groups))
     numa = None
     if topo.n_sockets > 1:
-        numa = Domain(name="NUMA", level=2 if smt else 1, span=machine_span,
-                      groups=socket_spans)
+        numa = Domain(name="NUMA", level=2 if smt else 1,
+                      span=tuple(range(topo.n_cpus)),
+                      groups=topo.cpus_of_socket)
 
     stacks = []
-    die_spans = []
-    for cpu in machine_span:
-        mc = mc_domains[topo.socket_of(cpu)]
+    for cpu in range(topo.n_cpus):
         stack = []
         if smt:
-            stack.append(smt_domains[topo.physical_core_of(cpu)])
-        stack.append(mc)
+            stack.append(smt_domains[topo.pc_of_cpu[cpu]])
+        stack.append(mc_domains[topo.die_of_cpu[cpu]])
         if numa is not None:
             stack.append(numa)
         stacks.append(tuple(stack))
-        die_spans.append(mc.span)
-    return tuple(stacks), tuple(die_spans)
+    return tuple(stacks)

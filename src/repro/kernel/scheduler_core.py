@@ -124,13 +124,12 @@ class Kernel:
                                     for cpu in range(n)]
         self.cpus: List[_CpuState] = [_CpuState() for _ in range(n)]
         self.domains = DomainHierarchy(self.topology)
-        # Flattened topology maps for the per-event hot paths (the topology
-        # is immutable, so these never go stale).
-        self.sibling_of = tuple(self.topology.sibling_of(c) for c in range(n))
-        self.pc_of = tuple(self.topology.physical_core_of(c) for c in range(n))
-        self.smt_siblings_of = tuple(self.topology.smt_siblings(c)
-                                     for c in range(n))
-        self.die_of = tuple(self.topology.die_of(c) for c in range(n))
+        # The topology's own tables, bound for the per-event hot paths.
+        self.sibling_of = self.topology.sibling_of_cpu
+        self.pc_of = self.topology.pc_of_cpu
+        self.die_of = self.topology.die_of_cpu
+        self.die_span = self.topology.die_span_of_cpu
+        self.threads_of_pc = self.topology.threads_of_pc
 
         self.tracer = tracer or Tracer(n)
         self.energy = energy or EnergyMeter(self.topology)
@@ -227,7 +226,7 @@ class Kernel:
     def least_loaded_online(self, near: int) -> int:
         """Deterministic fallback target: the least loaded online cpu,
         preferring the die of ``near`` (ties break towards low cpu ids)."""
-        for span in (self.domains.die_span(near), range(self.topology.n_cpus)):
+        for span in (self.die_span[near], range(self.topology.n_cpus)):
             best, best_key = None, None
             for c in span:
                 if not self.cpu_online[c]:
@@ -986,7 +985,7 @@ class Kernel:
         self.energy.set_core_freq(physical_core, mhz, now)
         if self.obs.enabled:
             self.obs.emit(now, oev.FREQ_STEP, cpu=physical_core, value=mhz)
-        for cpu in self.smt_siblings_of[physical_core]:
+        for cpu in self.threads_of_pc[physical_core]:
             self.tracer.freq_change(cpu, now, mhz)
             self._reprice_running(cpu)
 
@@ -1046,7 +1045,7 @@ class Kernel:
     def _nohz_kick(self, busy_cpu: int) -> None:
         if not self.config.newidle_balance:
             return
-        for c in self.domains.die_span(busy_cpu):
+        for c in self.die_span[busy_cpu]:
             if c != busy_cpu and self.cpu_is_idle(c) \
                     and not self.rqs[c].placement_pending:
                 self.engine.after(1, EventKind.BALANCE,
@@ -1073,7 +1072,7 @@ class Kernel:
     def _newidle_pull(self, cpu: int) -> Optional[Task]:
         """Newly-idle balance: steal a queued task from the busiest rq on
         the same die (CFS's newidle balance rarely crosses the LLC)."""
-        die = self.domains.die_span(cpu)
+        die = self.die_span[cpu]
         best, best_n = None, 0
         for other in die:
             if other == cpu:
@@ -1096,9 +1095,8 @@ class Kernel:
         """Machine-wide periodic balance: move queued tasks from overloaded
         cpus to idle ones, intra-die first."""
         moved = 0
-        for span in ([self.domains.die_span(c * self.topology.cores_per_socket)
-                      for c in range(self.topology.n_sockets)]
-                     + [tuple(range(self.topology.n_cpus))]):
+        for span in (self.topology.cpus_of_socket
+                     + (tuple(range(self.topology.n_cpus)),)):
             moved += self._balance_span(span)
         self.engine.after(self.config.periodic_balance_us,
                           EventKind.BALANCE, self._periodic_balance)

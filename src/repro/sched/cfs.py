@@ -235,12 +235,11 @@ class CfsPolicy(SelectionPolicy):
         placement (Nest's §3.4 placement flag).
         """
         kernel = self.kernel
-        topo = kernel.topology
 
         if self._usable_idle(target, check_pending):
             return target
 
-        die = kernel.domains.die_span(target)
+        die = kernel.die_span[target]
         if not all_dies:
             cpu = self._search_die(die, target, check_pending)
             if cpu is not None:
@@ -251,9 +250,10 @@ class CfsPolicy(SelectionPolicy):
             # local one — this is what lets a Nest burst scatter across the
             # machine instead of doubling up on hyperthreads (the paper's
             # rodinia observation).
+            spans = kernel.topology.cpus_of_socket
             target_die = kernel.die_of[target]
-            other_spans = [tuple(topo.cpus_in_socket(s))
-                           for s in _rotate(tuple(range(topo.n_sockets)),
+            other_spans = [spans[s]
+                           for s in _rotate(tuple(range(len(spans))),
                                             target_die + 1)
                            if s != target_die]
             cpu = self._search_idle_core(die, target, check_pending)
@@ -292,14 +292,14 @@ class CfsPolicy(SelectionPolicy):
         """Step 1: a physical core with every hyperthread idle."""
         kernel = self.kernel
         pc_of = kernel.pc_of
-        siblings_of = kernel.smt_siblings_of
+        threads_of_pc = kernel.threads_of_pc
         seen_cores = set()
         for c in _rotate(tuple(die), target):
             pc = pc_of[c]
             if pc in seen_cores:
                 continue
             seen_cores.add(pc)
-            sibs = siblings_of[c]
+            sibs = threads_of_pc[pc]
             if all(self._usable_idle(s, check_pending) for s in sibs):
                 return min(sibs)
         return None

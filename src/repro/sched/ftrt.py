@@ -113,19 +113,19 @@ class FtrtPolicy(SelectionPolicy):
         different socket first (a whole-socket burst must not be able to
         reach both copies)."""
         kernel = self.kernel
-        topo = kernel.topology
+        die_of = kernel.die_of
         now = kernel.engine.now
         p_pc = kernel.pc_of[pcpu]
-        p_socket = topo.die_of(pcpu)
+        p_socket = die_of[pcpu]
         best = None
         best_key = None
-        for c in range(topo.n_cpus):
+        for c in range(kernel.topology.n_cpus):
             if not kernel.cpu_online[c] or kernel.pc_of[c] == p_pc:
                 continue
             rq = kernel.rqs[c]
             occupancy = (rq.nr_queued + rq.placement_pending
                          + (0 if kernel.cpus[c].current is None else 1))
-            key = (0 if topo.die_of(c) != p_socket else 1,
+            key = (0 if die_of[c] != p_socket else 1,
                    occupancy, int(rq.load_avg(now) / LOAD_EPSILON), c)
             if best_key is None or key < best_key:
                 best, best_key = c, key

@@ -4,6 +4,8 @@
   hand-built run (test_obs_export.py).
 * ``tests/data/golden_analysis.json`` — the trace-analysis report of
   the fig2 reference run (test_obs_analysis.py).
+* ``tests/data/golden_scxnest_analysis.json`` — the trace-analysis
+  report of the pinned scx_nest run (test_scxnest_golden.py).
 
 Run after an *intentional* simulator, exporter or analyzer change::
 

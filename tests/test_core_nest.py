@@ -300,7 +300,7 @@ class TestFlagAndSpin:
 class TestWakeupWorkConservation:
     def test_fallback_crosses_dies_when_enabled(self):
         eng, kern, policy = make()
-        die0 = kern.domains.die_span(0)
+        die0 = kern.topology.die_span_of_cpu[0]
         for c in die0:
             occupy(kern, c)
         t = noop_task(kern, prev=0)
@@ -310,7 +310,7 @@ class TestWakeupWorkConservation:
     def test_fallback_stays_on_die_when_disabled(self):
         eng, kern, policy = make(
             NestParams(wakeup_work_conservation=False))
-        die0 = kern.domains.die_span(0)
+        die0 = kern.topology.die_span_of_cpu[0]
         for c in die0:
             occupy(kern, c)
         t = noop_task(kern, prev=0)

@@ -254,7 +254,7 @@ class TestHotplugMechanics:
 
     def test_least_loaded_online_prefers_near_die(self):
         eng, kern = make_kernel()
-        near_die = list(kern.domains.die_span(0))
+        near_die = list(kern.topology.die_span_of_cpu[0])
         assert kern.least_loaded_online(0) in near_die
 
     def test_offline_idempotent(self):

@@ -86,8 +86,11 @@ class TestNumbering:
 @given(st.integers(1, 4), st.integers(1, 20), st.sampled_from([1, 2]))
 def test_partition_properties(sockets, cores, smt):
     """Property: sockets partition the cpus; sibling is an involution on
-    the same physical core and socket."""
+    the same physical core and socket.  Every table agrees with its
+    validated method and with the Linux numbering of the module docstring
+    (thread-0 cpus socket-major, then their siblings in the same order)."""
     t = Topology(sockets, cores, smt)
+    npc = sockets * cores
     seen = []
     for s in t.sockets():
         seen.extend(t.cpus_in_socket(s))
@@ -97,3 +100,32 @@ def test_partition_properties(sockets, cores, smt):
         assert t.sibling_of(sib) == cpu
         assert t.physical_core_of(sib) == t.physical_core_of(cpu)
         assert t.socket_of(sib) == t.socket_of(cpu)
+
+        pc, socket = cpu % npc, (cpu % npc) // cores
+        assert t.pc_of_cpu[cpu] == t.physical_core_of(cpu) == pc
+        assert t.die_of_cpu[cpu] == t.die_of(cpu) == t.socket_of(cpu) \
+            == socket
+        linux_sib = cpu if smt == 1 else (cpu + npc) % (2 * npc)
+        assert t.sibling_of_cpu[cpu] == sib == linux_sib
+        assert t.die_span_of_cpu[cpu] == tuple(t.cpus_in_socket(socket))
+        assert t.thread_of(cpu) == cpu // npc
+    for pc in range(npc):
+        threads = tuple(pc + k * npc for k in range(smt))
+        assert t.threads_of_pc[pc] == t.smt_siblings(pc) == threads
+        assert t.socket_of_pc[pc] == t.socket_of(pc) == pc // cores
+    assert len(t.threads_of_pc) == len(t.socket_of_pc) == npc
+    for s in t.sockets():
+        first = list(range(s * cores, (s + 1) * cores))
+        linux = first + [c + npc for c in first] if smt == 2 else first
+        assert t.cpus_of_socket[s] == tuple(t.cpus_in_socket(s)) \
+            == tuple(linux)
+        assert t.pcs_of_socket[s] == range(s * cores, (s + 1) * cores)
+    assert len(t.cpus_of_socket) == len(t.pcs_of_socket) == sockets
+    assert all(len(table) == t.n_cpus for table in (
+        t.pc_of_cpu, t.die_of_cpu, t.sibling_of_cpu, t.die_span_of_cpu))
+    # The tables stay out of eq, hash and repr (result-cache keys and the
+    # memoized domain stacks depend on that).
+    assert t == Topology(sockets, cores, smt)
+    assert hash(t) == hash((sockets, cores, smt))
+    assert repr(t) == (f"Topology(n_sockets={sockets}, "
+                       f"cores_per_socket={cores}, smt={smt})")

@@ -20,6 +20,12 @@ def mk_task(tid, vruntime=0.0):
     return t
 
 
+def mc_domain(h, cpu):
+    """The die-level (last-level-cache) domain of ``cpu``."""
+    (mc,) = [d for d in h.domains_of(cpu) if d.name == "MC"]
+    return mc
+
+
 class TestRunQueue:
     def test_pop_smallest_vruntime(self):
         rq = RunQueue(0)
@@ -133,14 +139,15 @@ class TestDomains:
 
     def test_mc_groups_are_physical_cores(self):
         h = DomainHierarchy(Topology(1, 2, 2))
-        mc = h.llc_domain(0)
+        mc = h.domains_of(0)[-1]
+        assert mc.name == "MC"
         assert sorted(mc.span) == [0, 1, 2, 3]
         assert sorted(mc.groups) == [(0, 2), (1, 3)]
 
     def test_numa_groups_are_sockets(self):
         topo = Topology(2, 2, 2)
         h = DomainHierarchy(topo)
-        numa = h.top_domain(0)
+        numa = h.domains_of(0)[-1]
         assert numa.name == "NUMA"
         assert len(numa.groups) == 2
         assert sorted(sum(numa.groups, ())) == topo.all_cpus()
@@ -149,7 +156,8 @@ class TestDomains:
         topo = Topology(2, 4, 2)
         h = DomainHierarchy(topo)
         for cpu in topo.all_cpus():
-            assert set(h.die_span(cpu)) == \
+            assert set(mc_domain(h, cpu).span) == \
+                set(topo.die_span_of_cpu[cpu]) == \
                 set(topo.cpus_in_socket(topo.socket_of(cpu)))
 
     def test_groups_partition_span(self):
@@ -214,9 +222,29 @@ class TestSharedDomainStacks:
 
     @pytest.mark.parametrize("key,machine", MODELLED)
     def test_die_span_is_the_mc_span(self, key, machine):
-        h = DomainHierarchy(machine.topology)
-        for cpu in machine.topology.all_cpus():
-            assert h.die_span(cpu) == h.llc_domain(cpu).span
+        topo = machine.topology
+        h = DomainHierarchy(topo)
+        for cpu in topo.all_cpus():
+            assert mc_domain(h, cpu).span == topo.die_span_of_cpu[cpu]
+
+    @pytest.mark.parametrize("key,machine", MODELLED)
+    def test_kernel_and_freqmodel_bind_the_topology_tables(self, key,
+                                                           machine):
+        """One set of tables per topology: the hot-path names are the
+        topology's own tuples, not copies."""
+        topo = machine.topology
+        kern = Kernel(Engine(0), machine, CfsPolicy(), PerformanceGovernor())
+        assert kern.topology is topo
+        assert kern.pc_of is topo.pc_of_cpu
+        assert kern.die_of is topo.die_of_cpu
+        assert kern.sibling_of is topo.sibling_of_cpu
+        assert kern.die_span is topo.die_span_of_cpu
+        assert kern.threads_of_pc is topo.threads_of_pc
+        freq = kern.freq
+        assert freq.topology is topo
+        assert freq._pc_of is topo.pc_of_cpu
+        assert freq._socket_of_pc is topo.socket_of_pc
+        assert freq._siblings_of_pc is topo.threads_of_pc
 
     def test_kernels_on_one_machine_share_stacks(self):
         kernels = [Kernel(Engine(0), XEON_5218_2S, CfsPolicy(),
@@ -225,7 +253,7 @@ class TestSharedDomainStacks:
         assert a is not b
         for cpu in (0, 17, 63):
             assert a.domains_of(cpu) is b.domains_of(cpu)
-            assert a.die_span(cpu) is b.die_span(cpu)
+            assert kernels[0].die_span[cpu] is kernels[1].die_span[cpu]
 
     def test_equal_topologies_share_stacks(self):
         a = DomainHierarchy(Topology(2, 4, 2))

@@ -144,7 +144,7 @@ class TestWakeupPlacement:
         """§2.1: wakeup only considers the target die; with the whole die
         busy the task queues there even though the other die is idle."""
         eng, kern, policy = make()
-        die = kern.domains.die_span(0)
+        die = kern.topology.die_span_of_cpu[0]
         for c in die:
             occupy(kern, c)
         t = self._task(kern, prev_cpu=0)
@@ -155,7 +155,7 @@ class TestWakeupPlacement:
         """The same scenario through the all-dies search finds the idle
         socket (Nest's §3.4 work conservation)."""
         eng, kern, policy = make()
-        die = kern.domains.die_span(0)
+        die = kern.topology.die_span_of_cpu[0]
         for c in die:
             occupy(kern, c)
         cpu = policy.select_idle_sibling(0, all_dies=True,
