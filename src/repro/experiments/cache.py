@@ -22,7 +22,6 @@ the entry, so a hit reports the cost of the run that produced it.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -92,27 +91,19 @@ def atomic_write_json(path: Path, payload: Any, *, indent: Optional[int] = None,
 # ---------------------------------------------------------------------------
 
 def spec_key(spec: "RunSpec") -> str:
-    """Stable content address of one simulation configuration."""
-    payload: Dict[str, Any] = {
-        "engine_version": ENGINE_VERSION,
-        "format": FORMAT_VERSION,
-        "machine": spec.machine,
-        "workload": spec.workload,
-        "scale": spec.scale,
-        "scheduler": spec.scheduler,
-        "governor": spec.governor,
-        "seed": spec.seed,
-        "max_us": spec.max_us,
-        "nest_params": (None if spec.nest_params is None
-                        else dataclasses.asdict(spec.nest_params)),
-        "kernel_config": (None if spec.kernel_config is None
-                          else dataclasses.asdict(spec.kernel_config)),
-    }
-    # Only mixed in when set, so every pre-existing (fault-free) entry
-    # keeps its address.
-    faults = getattr(spec, "faults", None)
-    if faults is not None:
-        payload["faults"] = dataclasses.asdict(faults)
+    """Stable content address of one simulation configuration.
+
+    The payload is the spec's own :meth:`~RunSpec.to_dict` plus the
+    salts.  ``record_trace`` is left out (trace runs bypass the cache)
+    and ``faults`` only mixed in when set, so every fault-free entry
+    kept its address when fault configs were added.
+    """
+    payload: Dict[str, Any] = spec.to_dict()
+    del payload["record_trace"]
+    if payload["faults"] is None:
+        del payload["faults"]
+    payload["engine_version"] = ENGINE_VERSION
+    payload["format"] = FORMAT_VERSION
     canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 

@@ -52,9 +52,9 @@ from ..sched.registry import available_policies, iter_policy_infos
 # Re-exported for backward compatibility: the catalogue used to live here.
 from ..workloads.catalog import make_workload, workload_names
 from .cache import ResultCache
-from .parallel import SweepExecutor, SweepStats
+from .parallel import RunSpec, SweepExecutor, SweepStats, execute_spec
 from .registry import EXPERIMENTS, get_experiment, reference_spec, specs_for
-from .runner import STANDARD_COMBOS, compare, run_experiment
+from .runner import STANDARD_COMBOS, compare
 
 __all__ = ["build_parser", "main", "make_workload", "workload_names"]
 
@@ -115,15 +115,13 @@ def _cmd_list(args) -> int:
 def _cmd_run(args) -> int:
     trace_path = getattr(args, "trace", None)
     events_path = getattr(args, "events", None)
-    wants_obs = bool(trace_path or events_path)
-    wl = make_workload(args.workload, scale=args.scale)
-    machine = get_machine(args.machine)
     faults = _faults_from_args(args)
-    res = run_experiment(wl, machine, args.scheduler,
-                         args.governor, seed=args.seed,
-                         record_trace=bool(trace_path),
-                         collect_events=wants_obs,
-                         faults=faults)
+    spec = RunSpec(workload=args.workload, machine=args.machine,
+                   scheduler=args.scheduler, governor=args.governor,
+                   seed=args.seed, scale=args.scale,
+                   record_trace=bool(trace_path), faults=faults)
+    res = execute_spec(spec,
+                       collect_events=bool(trace_path or events_path))
     print(res.brief())
     print(f"  wall={res.sim_wall_s:.3f}s  events={res.events_processed:,}  "
           f"({res.events_per_sec:,.0f} events/s)")
@@ -149,7 +147,8 @@ def _cmd_run(args) -> int:
     if trace_path:
         label = f"{res.workload} {res.scheduler}-{res.governor}"
         write_chrome_trace(trace_path, res.trace_segments, res.events,
-                           n_cpus=machine.n_cpus, label=label)
+                           n_cpus=get_machine(spec.machine).n_cpus,
+                           label=label)
         print(f"  trace: {trace_path} "
               f"({len(res.trace_segments)} segments, "
               f"{len(res.events)} events; open at ui.perfetto.dev)")
@@ -240,18 +239,14 @@ def _analysis_events(args):
             raise ValueError(f"{args.experiment} has no traceable workload "
                              f"(pure table entry)")
     else:
-        from .parallel import RunSpec
         make_workload(args.experiment)   # raises KeyError on bad names
         spec = RunSpec(workload=args.experiment,
                        machine=args.machine or "5218_2s",
                        scheduler="nest", governor="schedutil",
                        seed=args.seed, scale=args.scale, record_trace=True)
-    machine = get_machine(spec.machine)
-    res = run_experiment(make_workload(spec.workload, scale=spec.scale),
-                         machine, spec.scheduler, spec.governor,
-                         seed=spec.seed, record_trace=True,
-                         collect_events=True)
-    return res, res.events, res.trace_segments, machine.n_cpus
+    res = execute_spec(spec, collect_events=True)
+    return (res, res.events, res.trace_segments,
+            get_machine(spec.machine).n_cpus)
 
 
 def _cmd_obs_analyze(args) -> int:

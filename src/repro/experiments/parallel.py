@@ -35,6 +35,7 @@ Worker count comes from, in order: the ``jobs`` argument, the
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
 import sqlite3
@@ -43,7 +44,7 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set
 
 from ..core.params import NestParams
 from ..faults import FaultConfig
@@ -69,11 +70,16 @@ def default_jobs() -> int:
 
 @dataclass(frozen=True)
 class RunSpec:
-    """A picklable description of one simulation.
+    """A picklable description of one simulation: the only run description.
 
     Carries names rather than objects: the workload is rebuilt from the
     catalogue and the machine from its short key inside the worker, so a
-    spec crosses process boundaries with no engine state attached.
+    spec crosses process boundaries with no engine state attached.  The
+    sweeps, the result cache and the run history key on it, and so do the
+    fuzzer, the shrinker, the conformance battery and the repro files,
+    which store it through :meth:`to_dict` / :meth:`from_dict`.  The
+    nested configs are frozen dataclasses of scalars, so a spec is
+    hashable.
     """
 
     workload: str                  # catalogue name, e.g. "configure-gcc"
@@ -93,9 +99,34 @@ class RunSpec:
         return (f"{self.workload}/{self.machine}/"
                 f"{self.scheduler}-{self.governor}/s{self.seed}")
 
+    def to_dict(self) -> Dict[str, Any]:
+        """Plain JSON-ready data (nested configs become dicts)."""
+        return dataclasses.asdict(self)
 
-def execute_spec(spec: RunSpec) -> RunResult:
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "RunSpec":
+        """Inverse of :meth:`to_dict`.  Missing keys take their defaults,
+        so repro files that carry only the nine scenario keys (no
+        ``kernel_config``, no ``record_trace``) still load."""
+        fields = dict(data)
+        for name, config in (("nest_params", NestParams),
+                             ("kernel_config", KernelConfig),
+                             ("faults", FaultConfig)):
+            if fields.get(name) is not None:
+                fields[name] = config(**fields[name])
+        return cls(**fields)
+
+
+def execute_spec(spec: RunSpec, collect_events: bool = False,
+                 policy_probe: Optional[Callable[[Any], None]] = None
+                 ) -> RunResult:
     """Run one spec to completion (this is the pool's worker function).
+
+    The only code that turns a spec into :func:`run_experiment`
+    arguments.  ``collect_events`` and ``policy_probe`` pass straight
+    through to it: sweeps leave them off, while the verify layer and the
+    CLI's trace/analysis commands need the event log and the final
+    policy state.
 
     When this process carries a telemetry emitter (pool workers get one
     from :meth:`TelemetryHub.pool_init`; the parent gets one for
@@ -119,7 +150,9 @@ def execute_spec(spec: RunSpec) -> RunResult:
             record_trace=spec.record_trace,
             max_us=spec.max_us,
             kernel_config=spec.kernel_config,
+            collect_events=collect_events,
             faults=spec.faults,
+            policy_probe=policy_probe,
             telemetry=telemetry,
         )
     except BaseException as exc:

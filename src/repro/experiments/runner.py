@@ -166,10 +166,9 @@ def run_experiment(
 
     injector: Optional[FaultInjector] = None
     if faults is not None and faults.enabled:
-        plan = FaultPlan.generate(
-            faults, machine.n_cpus, machine.topology.n_physical_cores,
-            machine.nominal_mhz, machine.min_mhz, engine.rng,
-            n_sockets=machine.topology.n_sockets)
+        plan = FaultPlan.generate(faults, machine.topology,
+                                  machine.nominal_mhz, machine.min_mhz,
+                                  engine.rng)
         injector = FaultInjector(kernel, plan, faults)
         injector.install()
 

@@ -19,6 +19,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, List, Tuple
 
+from ..hw.topology import Topology
 from ..sim.rng import RngRegistry
 
 #: Fault kinds carried by FaultSpec.kind.
@@ -175,16 +176,18 @@ class FaultPlan:
     # ------------------------------------------------------------------
 
     @classmethod
-    def generate(cls, config: FaultConfig, n_cpus: int,
-                 n_physical_cores: int, nominal_mhz: int, min_mhz: int,
-                 rng: RngRegistry, n_sockets: int = 1) -> "FaultPlan":
+    def generate(cls, config: FaultConfig, topology: Topology,
+                 nominal_mhz: int, min_mhz: int,
+                 rng: RngRegistry) -> "FaultPlan":
         """Expand ``config`` into concrete faults for one machine shape.
 
         Every family draws from its own named stream, in a fixed order
         (times first, then targets), so the expansion is reproducible and
-        families are independent.  ``n_sockets`` shapes the correlated
-        core-failure bursts (all targets of one burst share a socket).
+        families are independent.  A correlated core-failure burst draws
+        its targets from one socket's cpus (``topology.cpus_of_socket``),
+        so all targets of one burst share a socket.
         """
+        n_cpus = topology.n_cpus
         horizon = config.horizon_us
         specs: List[FaultSpec] = []
 
@@ -208,7 +211,7 @@ class FaultPlan:
             for t in times:
                 specs.append(FaultSpec(
                     at_us=t, kind=KIND_THERMAL_CAP,
-                    target=s.randrange(n_physical_cores),
+                    target=s.randrange(topology.n_physical_cores),
                     duration_us=config.thermal_duration_us, value=cap))
 
         n_straggler = _count(config.straggler_rate_per_s, horizon)
@@ -227,8 +230,7 @@ class FaultPlan:
             s = rng.stream("faults:corefail")
             times = sorted(s.randrange(1, horizon + 1)
                            for _ in range(n_bursts))
-            sockets = max(1, n_sockets)
-            socket_size = max(1, n_cpus // sockets)
+            socket_size = n_cpus // topology.n_sockets
             budget = config.core_failure_budget
             used = 0
             for t in times:
@@ -237,9 +239,8 @@ class FaultPlan:
                 k = min(config.core_failure_burst, socket_size)
                 if budget:
                     k = min(k, budget - used)
-                socket = s.randrange(sockets)
-                base = socket * socket_size
-                cpus = s.sample(range(base, base + socket_size), k)
+                socket = s.randrange(topology.n_sockets)
+                cpus = s.sample(topology.cpus_of_socket[socket], k)
                 for c in sorted(cpus):
                     specs.append(FaultSpec(
                         at_us=t, kind=KIND_CORE_FAILURE, target=c,

@@ -34,10 +34,11 @@ a member of ``repro.obs.events.EVENT_KINDS`` — the oracle's
 ``events.vocabulary`` invariant convicts unknown kinds.  If the policy
 keeps counters that mirror events (it should), the mirror must be exact:
 the oracle families (``nest.*``, ``scxnest.*``, ``rt.*``) cross-check
-counters against the event stream, and the registry entry's
-``invariant_groups`` declares which family applies.  Behaviour must not
-change with observability on/off — events and counters are read-only
-taps, never control flow.
+counters against the event stream.  The registry entry's
+``invariant_groups`` declares which of ``nest.*`` / ``scxnest.*``
+applies; ``rt.*`` applies to every policy's runs, since the kernel owns
+RT accounting.  Behaviour must not change with observability on/off —
+events and counters are read-only taps, never control flow.
 
 **Self-check protocol.**  :meth:`check_invariants` is called by the
 experiment runner after every completed simulation.  Raise

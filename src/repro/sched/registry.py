@@ -10,8 +10,10 @@ the metadata the rest of the system derives its behaviour from:
 
 * ``description`` — one line for ``repro list`` and the docs;
 * ``invariant_groups`` — which policy-specific oracle families
-  (``nest.*``, ``scxnest.*``, ``rt.*``) apply to runs of this policy;
-  the oracle gates those checks through :func:`invariant_groups_of`;
+  (``nest.*``, ``scxnest.*``) apply to runs of this policy; the oracle
+  gates those checks through :func:`invariant_groups_of`.  The ``rt.*``
+  family is not a group: the kernel owns RT accounting, so it applies
+  to every policy's runs;
 * ``uses_nest_params`` — whether the factory consumes a
   :class:`~repro.core.params.NestParams` override;
 * ``fuzz_weight`` — how many slots the policy occupies in the fuzz
@@ -45,7 +47,7 @@ class PolicyInfo:
     factory: PolicyFactory
     description: str = ""
     #: Policy-specific oracle invariant families that apply to this
-    #: policy's runs (generic families always apply).
+    #: policy's runs (generic families and ``rt.*`` always apply).
     invariant_groups: FrozenSet[str] = field(default_factory=frozenset)
     #: Whether the factory consumes the NestParams override.
     uses_nest_params: bool = False
@@ -179,8 +181,7 @@ register_policy(
 register_policy(
     "ftrt", _make_ftrt,
     description="fault-tolerant RT: disjoint primary/backup deadline "
-                "placement (DESIGN.md §10)",
-    invariant_groups=("rt",))
+                "placement (DESIGN.md §10)")
 register_policy(
     "scxnest", _make_scxnest,
     description="Meta's scx_nest variant: global vtime dispatch queue + "

@@ -20,7 +20,9 @@ from .rng import RngRegistry
 #: invalidates all cached results at once.  Bump whenever a change alters
 #: what a simulation *computes* (event ordering, timing, RNG use, metrics),
 #: not for pure refactors or speedups that keep runs bit-identical.
-ENGINE_VERSION = "1"
+#: 2: correlated core-failure bursts draw their cpus from one socket of the
+#:    Linux cpu numbering (multi-socket faulted runs changed).
+ENGINE_VERSION = "2"
 
 
 class SimulationError(RuntimeError):

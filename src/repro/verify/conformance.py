@@ -9,8 +9,9 @@ for
 * **completion** — the simulation runs to the end without crashing,
   including under an injected hotplug + thermal fault plan;
 * **oracle cleanliness** — every invariant the oracle applies to this
-  policy (generic families always; ``nest.*`` / ``scxnest.*`` / ``rt.*``
-  per the registry's ``invariant_groups``) holds;
+  policy (the generic families and ``rt.*`` always, since the kernel
+  owns RT accounting; ``nest.*`` / ``scxnest.*`` per the registry's
+  ``invariant_groups``) holds;
 * **determinism** — an immediate re-run is bit-identical (result image,
   event stream, final mask snapshot), and the baseline scenario digests
   identically under two different ``PYTHONHASHSEED`` values in fresh
@@ -35,12 +36,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional, Tuple
 
+from ..experiments.parallel import RunSpec
 from ..faults.plan import FaultConfig
 from ..sched.cfs import CfsPolicy
 from ..sched.registry import policy_info
 from .differential import canonical, check_cached_roundtrip
 from .execute import run_scenario
-from .generate import Scenario, freeze_faults
 from .oracle import Violation, check_run
 
 #: The fixed scenario battery, as (label, scenario-template) pairs; the
@@ -55,22 +56,22 @@ _FAULT_STORM = FaultConfig(hotplug_rate_per_s=100.0,
                            thermal_cap_ratio=0.6,
                            horizon_us=40_000)
 
-BATTERY: Tuple[Tuple[str, Scenario], ...] = (
-    ("warm", Scenario(workload="dacapo-h2", machine="ryzen_4650g",
-                      scheduler="", governor="schedutil", seed=3,
-                      scale=0.1)),
-    ("forky", Scenario(workload="configure-gcc", machine="ryzen_4650g",
-                       scheduler="", governor="performance", seed=1,
-                       scale=0.2)),
-    ("multi_die", Scenario(workload="dacapo-h2", machine="5218_2s",
-                           scheduler="", governor="schedutil", seed=2,
-                           scale=0.1)),
-    ("deadline", Scenario(workload="deadline-periodic",
-                          machine="ryzen_4650g", scheduler="",
-                          governor="schedutil", seed=4, scale=0.5)),
-    ("faulted", Scenario(workload="configure-gcc", machine="ryzen_4650g",
-                         scheduler="", governor="schedutil", seed=5,
-                         scale=0.1, faults=freeze_faults(_FAULT_STORM))),
+BATTERY: Tuple[Tuple[str, RunSpec], ...] = (
+    ("warm", RunSpec(workload="dacapo-h2", machine="ryzen_4650g",
+                     scheduler="", governor="schedutil", seed=3,
+                     scale=0.1)),
+    ("forky", RunSpec(workload="configure-gcc", machine="ryzen_4650g",
+                      scheduler="", governor="performance", seed=1,
+                      scale=0.2)),
+    ("multi_die", RunSpec(workload="dacapo-h2", machine="5218_2s",
+                          scheduler="", governor="schedutil", seed=2,
+                          scale=0.1)),
+    ("deadline", RunSpec(workload="deadline-periodic",
+                         machine="ryzen_4650g", scheduler="",
+                         governor="schedutil", seed=4, scale=0.5)),
+    ("faulted", RunSpec(workload="configure-gcc", machine="ryzen_4650g",
+                        scheduler="", governor="schedutil", seed=5,
+                        scale=0.1, faults=_FAULT_STORM)),
 )
 
 #: The battery scenario the expensive singleton checks (cache round-trip,
@@ -109,14 +110,14 @@ class ConformanceReport:
         return [c for c in self.checks if not c.ok]
 
 
-def battery_scenarios(policy: str) -> List[Tuple[str, Scenario]]:
+def battery_scenarios(policy: str) -> List[Tuple[str, RunSpec]]:
     """The battery with ``policy`` filled into every template."""
     import dataclasses
     return [(label, dataclasses.replace(sc, scheduler=policy))
             for label, sc in BATTERY]
 
 
-def scenario_digest(scenario: Scenario) -> str:
+def scenario_digest(scenario: RunSpec) -> str:
     """A content digest of everything deterministic about one run."""
     art = run_scenario(scenario)
     if art.error is not None:
@@ -132,7 +133,7 @@ def scenario_digest(scenario: Scenario) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _digest_under_hashseed(scenario: Scenario, hashseed: str) -> str:
+def _digest_under_hashseed(scenario: RunSpec, hashseed: str) -> str:
     """``scenario_digest`` in a fresh interpreter with a pinned seed.
 
     ``PYTHONHASHSEED`` only takes effect at interpreter start, so the
@@ -142,9 +143,9 @@ def _digest_under_hashseed(scenario: Scenario, hashseed: str) -> str:
     env["PYTHONHASHSEED"] = hashseed
     env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
     code = ("import json, sys\n"
-            "from repro.verify.generate import Scenario\n"
+            "from repro.experiments.parallel import RunSpec\n"
             "from repro.verify.conformance import scenario_digest\n"
-            "sc = Scenario.from_dict(json.loads(sys.argv[1]))\n"
+            "sc = RunSpec.from_dict(json.loads(sys.argv[1]))\n"
             "print(scenario_digest(sc))\n")
     proc = subprocess.run(
         [sys.executable, "-c", code, json.dumps(scenario.to_dict())],

@@ -15,13 +15,14 @@ differential layer checks runs against *each other*:
 * **nest vs CFS** — scheduling policy affects *when* work runs, never
   *how much*: both schedulers must create the same task population.
 
-Each check takes a :class:`Scenario` and returns ``Violation``\\ s using
+Each check takes a :class:`RunSpec` scenario and returns ``Violation``\\ s using
 ``diff.*`` invariant names, so fuzz reports, shrinking and repro files
 treat differential failures exactly like oracle failures.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import tempfile
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Tuple
@@ -30,30 +31,12 @@ from ..experiments.cache import (ResultCache, result_from_jsonable,
                                  result_to_jsonable)
 from ..experiments.parallel import RunSpec, SweepExecutor, execute_spec
 from ..faults.plan import FaultConfig
-from .generate import Scenario
 from .oracle import Violation
 
 #: A rate this low rounds to zero planned faults over any sane horizon,
 #: while still flipping ``FaultConfig.enabled`` on — the injector is
 #: installed but must be a pure bystander.
 EPSILON_RATE = 1e-9
-
-
-def spec_of(scenario: Scenario, **overrides: Any) -> RunSpec:
-    """Express a scenario as a picklable sweep spec."""
-    fields: Dict[str, Any] = dict(
-        workload=scenario.workload,
-        machine=scenario.machine,
-        scheduler=scenario.scheduler,
-        governor=scenario.governor,
-        seed=scenario.seed,
-        scale=scenario.scale,
-        nest_params=scenario.nest_params_obj(),
-        max_us=scenario.max_us,
-        faults=scenario.faults_obj(),
-    )
-    fields.update(overrides)
-    return RunSpec(**fields)
 
 
 def canonical(result, machine_key: str,
@@ -82,9 +65,10 @@ def _diff_fields(a: Dict[str, Any], b: Dict[str, Any]) -> List[str]:
 # Checks
 # ---------------------------------------------------------------------------
 
-def check_serial_vs_parallel(scenario: Scenario) -> Iterable[Violation]:
+def check_serial_vs_parallel(scenario: RunSpec) -> Iterable[Violation]:
     """PR-1 determinism: pool workers must equal an in-process loop."""
-    specs = [spec_of(scenario, seed=scenario.seed + i) for i in range(3)]
+    specs = [dataclasses.replace(scenario, seed=scenario.seed + i)
+             for i in range(3)]
     serial = [execute_spec(s) for s in specs]
     parallel = SweepExecutor(jobs=2, cache=None).run(specs)
     for spec, s_res, p_res in zip(specs, serial, parallel):
@@ -97,11 +81,10 @@ def check_serial_vs_parallel(scenario: Scenario) -> Iterable[Violation]:
                 f"in-process result on {_diff_fields(a, b)}")
 
 
-def check_cached_roundtrip(scenario: Scenario) -> Iterable[Violation]:
+def check_cached_roundtrip(spec: RunSpec) -> Iterable[Violation]:
     """Fresh run == JSON round-trip == re-run served alongside the cache."""
-    spec = spec_of(scenario)
     fresh = execute_spec(spec)
-    image = canonical(fresh, scenario.machine)
+    image = canonical(fresh, spec.machine)
     with tempfile.TemporaryDirectory(prefix="verify-cache-") as tmp:
         cache = ResultCache(root=Path(tmp))
         cache.put_spec(spec, fresh)
@@ -110,12 +93,12 @@ def check_cached_roundtrip(scenario: Scenario) -> Iterable[Violation]:
         yield Violation("diff.cached_roundtrip",
                         "stored result did not come back from the cache")
         return
-    back = canonical(cached, scenario.machine)
+    back = canonical(cached, spec.machine)
     if back != image:
         yield Violation(
             "diff.cached_roundtrip",
             f"cache round-trip changed {_diff_fields(image, back)}")
-    rerun = canonical(execute_spec(spec), scenario.machine)
+    rerun = canonical(execute_spec(spec), spec.machine)
     if rerun != image:
         yield Violation(
             "diff.cached_roundtrip",
@@ -123,21 +106,21 @@ def check_cached_roundtrip(scenario: Scenario) -> Iterable[Violation]:
             f"— the simulation is not deterministic")
     # The serializer itself must also be lossless through a dict cycle.
     cycled = canonical(
-        result_from_jsonable(result_to_jsonable(fresh, scenario.machine)),
-        scenario.machine)
+        result_from_jsonable(result_to_jsonable(fresh, spec.machine)),
+        spec.machine)
     if cycled != image:
         yield Violation(
             "diff.cached_roundtrip",
             f"jsonable cycle changed {_diff_fields(image, cycled)}")
 
 
-def check_empty_fault_plan(scenario: Scenario) -> Iterable[Violation]:
+def check_empty_fault_plan(scenario: RunSpec) -> Iterable[Violation]:
     """An armed injector with nothing planned must change nothing."""
     if scenario.faults is not None:
         return  # only meaningful against a clean baseline
-    clean = execute_spec(spec_of(scenario))
+    clean = execute_spec(scenario)
     empty = FaultConfig(hotplug_rate_per_s=EPSILON_RATE)
-    faulted = execute_spec(spec_of(scenario, faults=empty))
+    faulted = execute_spec(dataclasses.replace(scenario, faults=empty))
     injected = faulted.extra.get("faults_injected", 0.0)
     if injected:
         yield Violation("diff.empty_fault_plan",
@@ -162,13 +145,13 @@ def check_empty_fault_plan(scenario: Scenario) -> Iterable[Violation]:
             f"a zero-fault plan perturbed {_diff_fields(a, b)}")
 
 
-def check_nest_vs_cfs(scenario: Scenario) -> Iterable[Violation]:
+def check_nest_vs_cfs(scenario: RunSpec) -> Iterable[Violation]:
     """Policies place work; they must not create or destroy it."""
     if scenario.scheduler != "nest" or scenario.max_us is not None:
         return  # a horizon cap truncates forks differently per policy
-    nest = execute_spec(spec_of(scenario))
-    cfs = execute_spec(spec_of(scenario, scheduler="cfs",
-                               nest_params=None))
+    nest = execute_spec(scenario)
+    cfs = execute_spec(dataclasses.replace(scenario, scheduler="cfs",
+                                           nest_params=None))
     if nest.n_tasks != cfs.n_tasks:
         yield Violation(
             "diff.nest_vs_cfs",

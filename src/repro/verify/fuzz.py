@@ -16,9 +16,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
+from ..experiments.parallel import RunSpec
 from .differential import DIFF_CHECKS
 from .execute import run_scenario
-from .generate import Scenario, ScenarioGenerator
+from .generate import ScenarioGenerator
 from .oracle import Violation, check_run
 from .repro import save_repro
 from .shrink import shrink
@@ -52,9 +53,9 @@ class Failure:
     """One failing scenario, as found and as shrunk."""
 
     index: int
-    scenario: Scenario
+    scenario: RunSpec
     violations: List[Violation]
-    shrunk: Scenario
+    shrunk: RunSpec
     shrunk_violations: List[Violation]
     repro_path: Optional[Path] = None
 
@@ -110,7 +111,7 @@ class FuzzReport:
                 f"[{self.elapsed_s:.1f}s, seed {self.config.base_seed}]")
 
 
-def _diff_violations(scenario: Scenario, index: int,
+def _diff_violations(scenario: RunSpec, index: int,
                      config: FuzzConfig) -> List[Violation]:
     """The differential checks due at this index, cheapest first."""
     out: List[Violation] = []
@@ -122,10 +123,10 @@ def _diff_violations(scenario: Scenario, index: int,
     return out
 
 
-def _make_checker(diff_names: set) -> Callable[[Scenario], List[Violation]]:
+def _make_checker(diff_names: set) -> Callable[[RunSpec], List[Violation]]:
     """A shrink-time re-checker covering the oracle plus the differential
     checks that originally failed (replaying only what can re-fail)."""
-    def run_checks(scenario: Scenario) -> List[Violation]:
+    def run_checks(scenario: RunSpec) -> List[Violation]:
         violations = list(check_run(run_scenario(scenario)))
         for name, fn in DIFF_CHECKS:
             if name in diff_names:
@@ -134,7 +135,7 @@ def _make_checker(diff_names: set) -> Callable[[Scenario], List[Violation]]:
     return run_checks
 
 
-def _shrunk_analysis(scenario: Scenario) -> Optional[Dict[str, Any]]:
+def _shrunk_analysis(scenario: RunSpec) -> Optional[Dict[str, Any]]:
     """Trace-analysis digest of the shrunk failing run, for the repro.
 
     Costs one extra (small, already-shrunk) simulation per failure and

@@ -1,10 +1,11 @@
 """Seeded scenario generation: random-but-reproducible simulation inputs.
 
-A :class:`Scenario` is a pure-data description of one simulation
-(workload, machine, scheduler, governor, seed, optional Nest parameter
-overrides, optional fault config, optional horizon cap) that round-trips
-through JSON — the currency of the fuzzer, the shrinker and the repro
-files.
+A scenario is a :class:`~repro.experiments.parallel.RunSpec`, the one
+run description the sweeps and the result cache use too: workload,
+machine, scheduler, governor, seed, optional Nest parameter overrides,
+optional fault config, optional horizon cap.  It round-trips through
+JSON (``RunSpec.to_dict`` / ``RunSpec.from_dict``) and is the currency
+of the fuzzer, the shrinker and the repro files.
 
 :class:`ScenarioGenerator` mirrors the fault planner's RNG discipline
 (:mod:`repro.faults.plan`): scenario *i* under base seed *s* draws from
@@ -24,11 +25,8 @@ extra); the core fuzzer never imports hypothesis.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
-from typing import Any, Dict, Optional
-
 from ..core.params import NestParams
+from ..experiments.parallel import RunSpec
 from ..faults.plan import FaultConfig
 from ..sim.rng import RngRegistry
 
@@ -50,9 +48,10 @@ MACHINE_POOL = ("ryzen_4650g", "ryzen_4650g", "ryzen_4650g", "5218_2s")
 
 #: Weighted scheduler pool, derived from the policy registry's
 #: ``fuzz_weight`` metadata (Nest dominates: it carries most invariants;
-#: FT-RT carries the rt.* family and scx_nest the scxnest.* family).  Any
-#: newly registered policy joins the pool — and therefore the seeded
-#: scenario stream — automatically.
+#: scx_nest carries the scxnest.* family; the rt.* family applies to
+#: every policy's runs, since the kernel owns RT accounting).  Any newly
+#: registered policy joins the pool — and therefore the seeded scenario
+#: stream — automatically.
 from ..sched.registry import fuzz_scheduler_pool
 
 SCHEDULER_POOL = fuzz_scheduler_pool()
@@ -70,89 +69,6 @@ ABLATABLE_FEATURES = (
 FAULT_HORIZON_US = 40_000
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """One generated simulation input (JSON-serializable, hashable)."""
-
-    workload: str
-    machine: str
-    scheduler: str
-    governor: str
-    seed: int
-    scale: float = 1.0
-    #: ``dataclasses.asdict`` of a NestParams override, or None for the
-    #: paper defaults (kept as a plain dict so the scenario stays JSON).
-    nest_params: Optional[tuple] = None
-    faults: Optional[tuple] = None
-    max_us: Optional[int] = None
-
-    def nest_params_obj(self) -> Optional[NestParams]:
-        if self.nest_params is None:
-            return None
-        return NestParams(**dict(self.nest_params))
-
-    def faults_obj(self) -> Optional[FaultConfig]:
-        if self.faults is None:
-            return None
-        return FaultConfig(**dict(self.faults))
-
-    @property
-    def label(self) -> str:
-        tags = []
-        if self.nest_params is not None:
-            tags.append("params")
-        if self.faults is not None:
-            tags.append("faults")
-        if self.max_us is not None:
-            tags.append(f"cap{self.max_us}")
-        suffix = f" [{','.join(tags)}]" if tags else ""
-        return (f"{self.workload}@{self.scale}/{self.machine}/"
-                f"{self.scheduler}-{self.governor}/s{self.seed}{suffix}")
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "workload": self.workload,
-            "machine": self.machine,
-            "scheduler": self.scheduler,
-            "governor": self.governor,
-            "seed": self.seed,
-            "scale": self.scale,
-            "nest_params": (None if self.nest_params is None
-                            else dict(self.nest_params)),
-            "faults": None if self.faults is None else dict(self.faults),
-            "max_us": self.max_us,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Scenario":
-        return cls(
-            workload=data["workload"],
-            machine=data["machine"],
-            scheduler=data["scheduler"],
-            governor=data["governor"],
-            seed=data["seed"],
-            scale=data.get("scale", 1.0),
-            nest_params=_freeze(data.get("nest_params")),
-            faults=_freeze(data.get("faults")),
-            max_us=data.get("max_us"),
-        )
-
-
-def _freeze(d: Optional[Dict[str, Any]]) -> Optional[tuple]:
-    """Dicts are unhashable; scenarios carry sorted item tuples instead."""
-    if d is None:
-        return None
-    return tuple(sorted(d.items()))
-
-
-def freeze_params(params: NestParams) -> tuple:
-    return _freeze(dataclasses.asdict(params))
-
-
-def freeze_faults(config: FaultConfig) -> tuple:
-    return _freeze(dataclasses.asdict(config))
-
-
 class ScenarioGenerator:
     """Deterministic scenario factory: ``generate(i)`` is a pure function
     of ``(base_seed, i)``."""
@@ -160,7 +76,7 @@ class ScenarioGenerator:
     def __init__(self, base_seed: int = 1) -> None:
         self.base_seed = base_seed
 
-    def generate(self, index: int) -> Scenario:
+    def generate(self, index: int) -> RunSpec:
         # A fresh registry per call: stream state never leaks between
         # indices, so scenarios are order-independent.
         s = RngRegistry(self.base_seed).stream(f"scenario:{index}")
@@ -175,19 +91,19 @@ class ScenarioGenerator:
         from ..sched.registry import policy_info
         nest_params = None
         if policy_info(scheduler).uses_nest_params and s.random() < 0.5:
-            params = NestParams(
+            nest_params = NestParams(
                 p_remove_ticks=s.choice((0.5, 1.0, 2.0, 4.0)),
                 r_max=s.randrange(0, 9),
                 r_impatient=s.randrange(0, 5),
                 s_max_ticks=s.choice((0.0, 1.0, 2.0)),
             )
             if s.random() < 0.3:
-                params = params.without(s.choice(ABLATABLE_FEATURES))
-            nest_params = freeze_params(params)
+                nest_params = nest_params.without(
+                    s.choice(ABLATABLE_FEATURES))
 
         faults = None
         if s.random() < 0.3:
-            config = FaultConfig(
+            faults = FaultConfig(
                 hotplug_rate_per_s=s.choice((0.0, 50.0, 100.0)),
                 hotplug_downtime_us=s.choice((5_000, 10_000, 20_000)),
                 thermal_rate_per_s=s.choice((0.0, 50.0, 100.0)),
@@ -202,17 +118,17 @@ class ScenarioGenerator:
                 core_failure_downtime_us=s.choice((10_000, 30_000)),
                 horizon_us=FAULT_HORIZON_US,
             )
-            if config.enabled:
-                faults = freeze_faults(config)
+            if not faults.enabled:
+                faults = None
 
         max_us = None
         if s.random() < 0.15:
             max_us = s.randrange(5_000, 60_000)
 
-        return Scenario(workload=workload, machine=machine,
-                        scheduler=scheduler, governor=governor, seed=seed,
-                        scale=scale, nest_params=nest_params, faults=faults,
-                        max_us=max_us)
+        return RunSpec(workload=workload, machine=machine,
+                       scheduler=scheduler, governor=governor, seed=seed,
+                       scale=scale, nest_params=nest_params, faults=faults,
+                       max_us=max_us)
 
 
 def scenario_strategy(base_seed: int = 1, max_index: int = 1 << 20):

@@ -88,7 +88,7 @@ def _kind_counts(events) -> Dict[str, int]:
 
 
 def _params_of(art: "RunArtifacts") -> NestParams:
-    return art.scenario.nest_params_obj() or DEFAULT_PARAMS
+    return art.scenario.nest_params or DEFAULT_PARAMS
 
 
 def _is_nest(art: "RunArtifacts") -> bool:
@@ -484,17 +484,15 @@ def check_spin_pairing(art: "RunArtifacts") -> Iterable[Violation]:
 def check_fault_consistency(art: "RunArtifacts") -> Iterable[Violation]:
     """The deterministic fault plan re-derived from the seed reconciles
     with the injected-fault counters and the fault event stream."""
-    config = art.scenario.faults_obj()
+    config = art.scenario.faults
     if config is None or not config.enabled:
         return
     res = art.result
     m = res.metrics
     machine = art.machine
-    plan = FaultPlan.generate(config, machine.n_cpus,
-                              machine.topology.n_physical_cores,
+    plan = FaultPlan.generate(config, machine.topology,
                               machine.nominal_mhz, machine.min_mhz,
-                              RngRegistry(art.scenario.seed),
-                              n_sockets=machine.topology.n_sockets)
+                              RngRegistry(art.scenario.seed))
     injected = int(res.extra.get("faults_injected", -1))
     if injected != len(plan):
         yield Violation("faults.consistency",

@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional
 
 from ..experiments.cache import atomic_write_json
+from ..experiments.parallel import RunSpec
 from .execute import run_scenario
-from .generate import Scenario
 from .oracle import Violation, check_run
 
 FORMAT = 1
@@ -26,7 +26,7 @@ FORMAT = 1
 
 def save_repro(
     path: Path,
-    scenario: Scenario,
+    scenario: RunSpec,
     violations: List[Violation],
     origin: Optional[Dict[str, Any]] = None,
     analysis: Optional[Dict[str, Any]] = None,
@@ -75,7 +75,7 @@ def replay_repro(path: Path) -> List[Violation]:
     reproduces.
     """
     data = load_repro(path)
-    scenario = Scenario.from_dict(data["scenario"])
+    scenario = RunSpec.from_dict(data["scenario"])
     violations = list(check_run(run_scenario(scenario)))
     diff_names = {name for name in data["expect"]
                   if name.startswith("diff.")}

@@ -19,11 +19,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .generate import Scenario
+from ..experiments.parallel import RunSpec
 from .oracle import Violation
 
 #: A check function re-runs a scenario and reports what failed.
-CheckFn = Callable[[Scenario], List[Violation]]
+CheckFn = Callable[[RunSpec], List[Violation]]
 
 #: The cheapest catalogued workload; the final simplification target.
 SIMPLEST_WORKLOAD = ("configure-gcc", 0.1)
@@ -31,13 +31,13 @@ SIMPLEST_MACHINE = "ryzen_4650g"
 MIN_SCALE = 0.1
 
 
-def _replace(sc: Scenario, **kw) -> Scenario:
+def _replace(sc: RunSpec, **kw) -> RunSpec:
     return dataclasses.replace(sc, **kw)
 
 
-def _candidates(sc: Scenario) -> Sequence[Tuple[str, Scenario]]:
+def _candidates(sc: RunSpec) -> Sequence[Tuple[str, RunSpec]]:
     """The simplification ladder, most-impactful first."""
-    out: List[Tuple[str, Scenario]] = []
+    out: List[Tuple[str, RunSpec]] = []
     if sc.faults is not None:
         out.append(("drop faults", _replace(sc, faults=None)))
     if sc.max_us is not None:
@@ -63,11 +63,11 @@ def _candidates(sc: Scenario) -> Sequence[Tuple[str, Scenario]]:
 
 
 def shrink(
-    scenario: Scenario,
+    scenario: RunSpec,
     check: CheckFn,
     violations: Optional[List[Violation]] = None,
     budget: int = 40,
-) -> Tuple[Scenario, List[Violation]]:
+) -> Tuple[RunSpec, List[Violation]]:
     """Minimize ``scenario`` while it keeps failing the same invariants.
 
     ``check`` re-runs a candidate and returns its violations;

@@ -84,9 +84,8 @@ class TestFaultConfig:
 
 class TestFaultPlan:
     def gen(self, config, seed=0):
-        return FaultPlan.generate(config, n_cpus=16, n_physical_cores=8,
-                                  nominal_mhz=2300, min_mhz=800,
-                                  rng=RngRegistry(seed))
+        return FaultPlan.generate(config, Topology(1, 8), nominal_mhz=2300,
+                                  min_mhz=800, rng=RngRegistry(seed))
 
     def test_same_seed_same_plan(self):
         cfg = FaultConfig(hotplug_rate_per_s=3.0, thermal_rate_per_s=3.0,
@@ -139,10 +138,9 @@ class TestCorrelatedFailurePlans:
     budget, seeded determinism, and the named CLI profiles."""
 
     def gen(self, config, seed=0, n_cpus=16, n_sockets=2):
-        return FaultPlan.generate(config, n_cpus=n_cpus,
-                                  n_physical_cores=n_cpus // 2,
-                                  nominal_mhz=2300, min_mhz=800,
-                                  rng=RngRegistry(seed), n_sockets=n_sockets)
+        topology = Topology(n_sockets, n_cpus // (2 * n_sockets))
+        return FaultPlan.generate(config, topology, nominal_mhz=2300,
+                                  min_mhz=800, rng=RngRegistry(seed))
 
     def test_same_seed_bit_identical_plan(self):
         cfg = FaultConfig(core_failure_rate_per_s=10.0,
@@ -163,8 +161,9 @@ class TestCorrelatedFailurePlans:
             assert s.kind == KIND_CORE_FAILURE
             bursts.setdefault(s.at_us, []).append(s.target)
         assert bursts
+        topology = Topology(2, 4)
         for targets in bursts.values():
-            sockets = {t // 8 for t in targets}   # 8 threads per socket
+            sockets = {topology.socket_of(t) for t in targets}
             assert len(sockets) == 1
             assert len(set(targets)) == len(targets)   # distinct threads
 
@@ -407,11 +406,11 @@ class TestCorrelatedFailureRuns:
     def test_plan_rederivation_reconciles(self):
         """The oracle re-derives the corefail plan from (seed, config,
         machine shape) and reconciles it against the run's counters."""
-        from repro.verify import Scenario, check_run, run_scenario
-        from repro.verify.generate import freeze_faults
-        sc = Scenario(workload="deadline-periodic", machine="ryzen_4650g",
-                      scheduler="ftrt", governor="schedutil", seed=2,
-                      scale=1.0, faults=freeze_faults(COREFAIL_DENSE))
+        from repro.experiments.parallel import RunSpec
+        from repro.verify import check_run, run_scenario
+        sc = RunSpec(workload="deadline-periodic", machine="ryzen_4650g",
+                     scheduler="ftrt", governor="schedutil", seed=2,
+                     scale=1.0, faults=COREFAIL_DENSE)
         assert check_run(run_scenario(sc)) == []
 
     def test_corefail_skip_guard_counts(self):
@@ -452,7 +451,5 @@ class TestInjectorGuards:
     def test_install_counts_specs(self):
         eng, kern = make_kernel()
         cfg = FaultConfig(hotplug_rate_per_s=5.0, horizon_us=1_000_000)
-        plan = FaultPlan.generate(cfg, kern.topology.n_cpus,
-                                  kern.topology.n_physical_cores,
-                                  2300, 800, eng.rng)
+        plan = FaultPlan.generate(cfg, kern.topology, 2300, 800, eng.rng)
         assert FaultInjector(kern, plan, cfg).install() == len(plan)

@@ -6,11 +6,13 @@ these tests drive the executor's retry, timeout, degradation and resume
 machinery end to end with real process pools.
 """
 
+import hashlib
 import json
 import os
 
 import pytest
 
+from repro.experiments import cache as cache_mod
 from repro.experiments.cache import (QUARANTINE_DIR, ResultCache,
                                      atomic_write_json, spec_key)
 from repro.experiments.parallel import (RunSpec, SweepExecutor, SweepFailure,
@@ -191,15 +193,16 @@ class TestSpecKeys:
     def test_faults_do_not_perturb_clean_keys(self):
         """Pre-existing cache entries keep their address: a spec with
         faults=None hashes as if the field did not exist."""
-        class Legacy:
-            pass
-
-        legacy = Legacy()
-        for f in ("machine", "workload", "scale", "scheduler", "governor",
-                  "seed", "max_us", "nest_params", "kernel_config",
-                  "record_trace"):
-            setattr(legacy, f, getattr(SPECS[0], f))
-        assert spec_key(SPECS[0]) == spec_key(legacy)
+        spec = SPECS[0]
+        assert spec.nest_params is None and spec.kernel_config is None
+        legacy = {f: getattr(spec, f)
+                  for f in ("machine", "workload", "scale", "scheduler",
+                            "governor", "seed", "max_us", "nest_params",
+                            "kernel_config")}
+        legacy.update(engine_version=cache_mod.ENGINE_VERSION,
+                      format=cache_mod.FORMAT_VERSION)
+        canon = json.dumps(legacy, sort_keys=True, separators=(",", ":"))
+        assert spec_key(spec) == hashlib.sha256(canon.encode()).hexdigest()
 
     def test_faulted_spec_gets_a_distinct_key(self):
         import dataclasses

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.params import NestParams
+from repro.experiments.parallel import RunSpec
 from repro.governors.performance import PerformanceGovernor
 from repro.hw.freqmodel import SPEED_SHIFT
 from repro.hw.machines import Machine
@@ -16,7 +17,7 @@ from repro.sched.scxnest import (GlobalVtimeQueue, NestMasks, ScxNestPolicy,
                                  SLICE_US)
 from repro.sim.clock import TICK_US
 from repro.sim.engine import Engine
-from repro.verify import Scenario, check_run, run_scenario
+from repro.verify import check_run, run_scenario
 from repro.workloads.base import ms_of_work
 
 MACHINE = Machine(name="t", cpu_model="t", microarchitecture="t",
@@ -339,9 +340,9 @@ class TestVtimePull:
 
 
 class TestEndToEnd:
-    SCENARIO = Scenario(workload="dacapo-h2", machine="ryzen_4650g",
-                        scheduler="scxnest", governor="schedutil", seed=3,
-                        scale=0.1)
+    SCENARIO = RunSpec(workload="dacapo-h2", machine="ryzen_4650g",
+                       scheduler="scxnest", governor="schedutil", seed=3,
+                       scale=0.1)
 
     def test_reference_scenario_is_oracle_clean(self):
         art = run_scenario(self.SCENARIO)

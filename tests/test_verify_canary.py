@@ -13,38 +13,38 @@ import pytest
 
 from repro.core.nest import NestPolicy
 from repro.core.params import NestParams
+from repro.experiments.parallel import RunSpec
 from repro.faults import FaultConfig
 from repro.kernel.scheduler_core import Kernel
 from repro.obs import events as oev
 from repro.sched.ftrt import FtrtPolicy
-from repro.verify import Scenario, check_run, run_scenario
-from repro.verify.generate import freeze_faults, freeze_params
+from repro.verify import check_run, run_scenario
 from repro.verify.shrink import shrink
 
 #: dacapo-h2 churns enough tasks that end-of-run exit demotions pile
 #: cores into the reserve — exactly where a missing R_max bound shows.
-CANARY_SCENARIO = Scenario(
+CANARY_SCENARIO = RunSpec(
     workload="dacapo-h2", machine="ryzen_4650g", scheduler="nest",
     governor="schedutil", seed=3, scale=0.1,
-    nest_params=freeze_params(NestParams(r_max=1)))
+    nest_params=NestParams(r_max=1))
 
 #: Fault-free FT-RT deadline run: every job meets its deadline and every
 #: backup is admitted disjoint, so the rt.* invariants are silent — until
 #: a mutant breaks the protocol.
-FTRT_CANARY = Scenario(
+FTRT_CANARY = RunSpec(
     workload="deadline-periodic", machine="ryzen_4650g", scheduler="ftrt",
     governor="schedutil", seed=7, scale=1.0)
 
 #: The same run under a correlated core-failure storm dense enough that
 #: kills and backup activations actually happen (the stock profiles'
 #: 2s horizon outlives this short run).
-FTRT_FAULTED_CANARY = Scenario(
+FTRT_FAULTED_CANARY = RunSpec(
     workload="deadline-periodic", machine="ryzen_4650g", scheduler="ftrt",
     governor="schedutil", seed=7, scale=1.0,
-    faults=freeze_faults(FaultConfig(core_failure_rate_per_s=60.0,
-                                     core_failure_burst=3,
-                                     core_failure_downtime_us=10_000,
-                                     horizon_us=100_000)))
+    faults=FaultConfig(core_failure_rate_per_s=60.0,
+                       core_failure_burst=3,
+                       core_failure_downtime_us=10_000,
+                       horizon_us=100_000))
 
 
 def _names(scenario=CANARY_SCENARIO):

@@ -10,24 +10,23 @@ import json
 from repro.verify.differential import (DIFF_CHECKS, canonical,
                                        check_cached_roundtrip,
                                        check_empty_fault_plan,
-                                       check_nest_vs_cfs, spec_of)
+                                       check_nest_vs_cfs)
 from repro.verify.execute import run_scenario
 from repro.verify.fuzz import FuzzConfig, fuzz
-from repro.verify.generate import Scenario, freeze_faults
 from repro.verify.oracle import Violation, check_run
 from repro.verify.repro import load_repro, replay_repro, save_repro
 from repro.verify.shrink import shrink
 from repro.faults.plan import FaultConfig
-from repro.experiments.parallel import execute_spec
+from repro.experiments.parallel import RunSpec, execute_spec
 
-COMPLEX = Scenario(
+COMPLEX = RunSpec(
     workload="leveldb", machine="5218_2s", scheduler="nest",
     governor="performance", seed=424242, scale=1.0,
-    faults=freeze_faults(FaultConfig(hotplug_rate_per_s=50.0)),
+    faults=FaultConfig(hotplug_rate_per_s=50.0),
     max_us=30_000)
 
-MINIMAL = Scenario(workload="configure-gcc", machine="ryzen_4650g",
-                   scheduler="nest", governor="schedutil", seed=1, scale=0.1)
+MINIMAL = RunSpec(workload="configure-gcc", machine="ryzen_4650g",
+                  scheduler="nest", governor="schedutil", seed=1, scale=0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -118,8 +117,8 @@ def test_nest_vs_cfs_clean_and_gated():
 
 
 def test_canonical_drops_wall_clock():
-    a = canonical(execute_spec(spec_of(MINIMAL)), MINIMAL.machine)
-    b = canonical(execute_spec(spec_of(MINIMAL)), MINIMAL.machine)
+    a = canonical(execute_spec(MINIMAL), MINIMAL.machine)
+    b = canonical(execute_spec(MINIMAL), MINIMAL.machine)
     assert "sim_wall_s" not in a
     assert a == b
 
@@ -205,7 +204,7 @@ def test_repro_roundtrip_and_replay(tmp_path):
                       origin={"base_seed": 1, "index": 3})
     data = load_repro(path)
     assert data["expect"] == ["nest.final_state"]
-    assert Scenario.from_dict(data["scenario"]) == MINIMAL
+    assert RunSpec.from_dict(data["scenario"]) == MINIMAL
     assert data["origin"]["index"] == 3
     assert "analysis" not in data   # optional key: omitted when not given
     # The captured "bug" does not exist -> replay comes back clean.

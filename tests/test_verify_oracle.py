@@ -11,17 +11,18 @@ import dataclasses
 
 import pytest
 
+from repro.experiments.parallel import RunSpec
 from repro.obs import events as oev
 from repro.obs.events import SchedEvent
 from repro.verify.execute import RunArtifacts, run_scenario
-from repro.verify.generate import Scenario, ScenarioGenerator, freeze_faults
+from repro.verify.generate import ScenarioGenerator
 from repro.verify.oracle import (INVARIANTS, NestSnapshot, Violation,
                                  check_run)
 from repro.faults.plan import FaultConfig
 
-NEST_SCENARIO = Scenario(workload="configure-gcc", machine="ryzen_4650g",
-                         scheduler="nest", governor="schedutil", seed=3,
-                         scale=0.2)
+NEST_SCENARIO = RunSpec(workload="configure-gcc", machine="ryzen_4650g",
+                        scheduler="nest", governor="schedutil", seed=3,
+                        scale=0.2)
 
 
 @pytest.fixture(scope="module")
@@ -185,8 +186,8 @@ def test_catches_double_spin_start(nest_art):
 def test_catches_fault_count_drift():
     faulted = dataclasses.replace(
         NEST_SCENARIO, seed=17,
-        faults=freeze_faults(FaultConfig(hotplug_rate_per_s=100.0,
-                                         horizon_us=40_000)))
+        faults=FaultConfig(hotplug_rate_per_s=100.0,
+                           horizon_us=40_000))
     art = run_scenario(faulted)
     assert art.error is None
     assert check_run(art) == []
@@ -197,13 +198,13 @@ def test_catches_fault_count_drift():
     assert "faults.consistency" in _names(check_run(broken))
 
 
-FTRT_SCENARIO = Scenario(
+FTRT_SCENARIO = RunSpec(
     workload="deadline-periodic", machine="ryzen_4650g", scheduler="ftrt",
     governor="schedutil", seed=2, scale=1.0,
-    faults=freeze_faults(FaultConfig(core_failure_rate_per_s=60.0,
-                                     core_failure_burst=3,
-                                     core_failure_downtime_us=10_000,
-                                     horizon_us=100_000)))
+    faults=FaultConfig(core_failure_rate_per_s=60.0,
+                       core_failure_burst=3,
+                       core_failure_downtime_us=10_000,
+                       horizon_us=100_000))
 
 
 @pytest.fixture(scope="module")
